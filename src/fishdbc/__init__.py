@@ -13,7 +13,7 @@ function, with cheap incremental updates as items arrive.
     result.condensed    # hierarchy with per-cluster stabilities
 """
 
-from .engine import FISHDBC, ClusterResult, Config, setup
+from .engine import FISHDBC, ClusterResult, Config
 from .distances import DistanceError
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "FISHDBC",
     "ClusterResult",
     "Config",
-    "setup",
     "DistanceError",
     "__version__",
 ]

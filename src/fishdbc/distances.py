@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from . import _accel
-
 __all__ = [
     "DistanceError",
     "euclidean",
@@ -36,7 +34,8 @@ def euclidean(a, b):
         b = np.ascontiguousarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _accel.euclidean(a, b)
+    d = a - b
+    return float(np.sqrt(np.dot(d, d)))
 
 
 def cosine(a, b):

@@ -26,7 +26,7 @@ from .hnsw import Hnsw
 from .msf import CandidateBuffer, Msf, should_flush, update_msf
 from .neighbors import NeighborStore
 
-__all__ = ["Config", "ClusterResult", "FISHDBC", "setup"]
+__all__ = ["Config", "ClusterResult", "FISHDBC"]
 
 
 @dataclass
@@ -157,9 +157,6 @@ class FISHDBC:
         """Edges currently in the spanning forest (may lag the buffer)."""
         return self._msf.edges()
 
-    def dump_forest(self, fileobj):
-        self._msf.dump(fileobj)
-
     def add(self, payload):
         """Insert one item; returns its dense integer id.
 
@@ -237,9 +234,6 @@ class FISHDBC:
             self.flush()
         return x
 
-    def add_many(self, payloads):
-        return [self.add(p) for p in payloads]
-
     def flush(self):
         """Fold buffered candidate edges into the spanning forest.
 
@@ -269,8 +263,3 @@ class FISHDBC:
         tree = condense(dend, m_cs)
         flat = extract_flat(tree)
         return ClusterResult(labels=flat.labels, condensed=tree)
-
-
-def setup(distance, config=None, **overrides):
-    """Create a fresh engine; kept as a named entry point for symmetry."""
-    return FISHDBC(distance, config, **overrides)

@@ -16,10 +16,6 @@ _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
 
 
-def _pack(lo, hi):
-    return (lo << _SHIFT) | hi
-
-
 class CandidateBuffer:
     """Map of canonical undirected edges to their best known weight.
 
@@ -53,10 +49,6 @@ class CandidateBuffer:
             a, b = b, a
         return self._edges.get((a << _SHIFT) | b)
 
-    def items(self):
-        for key, w in self._edges.items():
-            yield key >> _SHIFT, key & _MASK, w
-
     def clear(self):
         self._edges.clear()
 
@@ -84,21 +76,6 @@ class Msf:
             (int(a), int(b), float(w))
             for a, b, w in zip(self.lo, self.hi, self.weight)
         ]
-
-    def total_weight(self):
-        return float(self.weight.sum())
-
-    def component_count(self, n):
-        """Number of connected components among n items."""
-        mask = _accel.kruskal_mask(self.lo, self.hi, n)
-        # Forest edges are acyclic, so all are accepted; each merges two
-        # components.
-        return n - int(mask.sum())
-
-    def dump(self, fileobj):
-        """Write the forest as one ``lo hi weight`` line per edge."""
-        for a, b, w in zip(self.lo, self.hi, self.weight):
-            fileobj.write(f"{int(a)} {int(b)} {float(w)!r}\n")
 
 
 def should_flush(buffer_len, n, alpha):

@@ -79,7 +79,3 @@ class NeighborStore:
     def members(self, x):
         """Current heap entries of x as (neighbor, distance) pairs."""
         return [(y, -neg) for neg, y in self._heaps[x]]
-
-    def neighbors_closer_than(self, x, v):
-        """Heap entries of x at distance strictly below v."""
-        return [(y, -neg) for neg, y in self._heaps[x] if -neg < v]

@@ -1,47 +1,40 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import fishdbc
-from fishdbc import _accel
+from fishdbc import _accel, distances
 
 
-def _child_env(**overrides):
-    """Environment for a child interpreter that imports this same ``fishdbc``.
-
-    Starts from the parent's environment and puts the directory holding the
-    imported package first on ``PYTHONPATH`` (absolute, so the child's working
-    directory does not matter). Each override sets a variable; ``None`` removes it.
-    """
-    env = dict(os.environ)
-    root = str(Path(fishdbc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    for key, value in overrides.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return env
+def reference_kruskal_mask(lo, hi, n):
+    """Kruskal without union-find: keep an edge unless a search of the
+    edges kept so far already joins its ends."""
+    adj = [[] for _ in range(n)]
+    keep = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        seen = {a}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        joined = b in seen
+        if not joined:
+            adj[a].append(b)
+            adj[b].append(a)
+        keep.append(not joined)
+    return np.array(keep, dtype=np.bool_)
 
 
 class TestEuclideanKernel:
+    """The Euclidean kernel now lives inline in ``distances.euclidean``."""
+
     def test_matches_numpy(self, rng):
         for _ in range(50):
             a = rng.random(int(rng.integers(1, 64)))
             b = rng.random(a.shape[0])
             want = float(np.linalg.norm(a - b))
-            assert _accel.euclidean(a, b) == pytest.approx(want, rel=1e-12)
-
-    def test_python_body_agrees_with_selected(self, rng):
-        a = rng.random(32)
-        b = rng.random(32)
-        assert _accel._euclidean(a, b) == pytest.approx(
-            _accel.euclidean(a, b), rel=1e-12
-        )
+            assert distances.euclidean(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestKruskalKernel:
@@ -56,12 +49,13 @@ class TestKruskalKernel:
         )
 
     def test_selected_agrees_with_python_body(self, rng):
+        """The one sweep agrees with a Kruskal that uses no union-find."""
         for _ in range(20):
             n = int(rng.integers(5, 60))
             m = int(rng.integers(1, n * (n - 1) // 2 + 1))
             lo, hi = self.rand_edges(rng, n, m)
             got = _accel.kruskal_mask(lo, hi, n)
-            want = _accel._kruskal_mask(lo, hi, n)
+            want = reference_kruskal_mask(lo, hi, n)
             assert np.array_equal(got, want)
 
     def test_spanning_tree_size(self, rng):
@@ -72,73 +66,9 @@ class TestKruskalKernel:
 
 
 class TestLinkageKernel:
-    def test_selected_agrees_with_python_body(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(3, 80))
-            lo = np.empty(n - 1, dtype=np.int64)
-            hi = np.empty(n - 1, dtype=np.int64)
-            for i in range(1, n):
-                j = int(rng.integers(0, i))
-                lo[i - 1], hi[i - 1] = min(i, j), max(i, j)
-            w = np.sort(rng.random(n - 1))
-            a = _accel.linkage_merges(lo, hi, w, n)
-            b = _accel._linkage_merges(lo, hi, w, n)
-            assert a[3] == b[3] == n - 1
-            for x, y in zip(a[:3], b[:3]):
-                assert np.array_equal(x[: a[3]], y[: b[3]])
-
     def test_cycle_flagged(self):
         lo = np.array([0, 1, 0], dtype=np.int64)
         hi = np.array([1, 2, 2], dtype=np.int64)
         w = np.array([1.0, 2.0, 3.0])
         *_, count = _accel.linkage_merges(lo, hi, w, 3)
         assert count == -1
-
-
-def test_env_flag_selects_fallback(tmp_path):
-    """FISHDBC_NO_NUMBA=1 must disable the JIT path and still cluster."""
-    script = tmp_path / "probe.py"
-    script.write_text(
-        "import numpy as np\n"
-        "from fishdbc import _accel, FISHDBC, distances\n"
-        "assert not _accel.HAVE_NUMBA\n"
-        "rng = np.random.default_rng(0)\n"
-        "engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=0)\n"
-        "for _ in range(40):\n"
-        "    engine.add(rng.random(2))\n"
-        "result = engine.cluster()\n"
-        "print('labels', len(result.labels))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        env=_child_env(FISHDBC_NO_NUMBA="1"),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "labels 40" in proc.stdout
-
-
-def test_fallback_and_jit_produce_identical_clusterings(tmp_path):
-    """The env flag changes speed, never results."""
-    script = tmp_path / "run.py"
-    script.write_text(
-        "import numpy as np\n"
-        "from fishdbc import FISHDBC, distances\n"
-        "rng = np.random.default_rng(5)\n"
-        "engine = FISHDBC(distances.euclidean, minpts=4, rng_seed=5)\n"
-        "for _ in range(120):\n"
-        "    engine.add(rng.random(3))\n"
-        "result = engine.cluster()\n"
-        "print(','.join(str(int(l)) for l in result.labels))\n"
-    )
-    outputs = []
-    # The default arm drops any flag inherited from the parent shell, so it
-    # takes the JIT path wherever numba is installed.
-    for env in (_child_env(FISHDBC_NO_NUMBA=None), _child_env(FISHDBC_NO_NUMBA="1")):
-        proc = subprocess.run(
-            [sys.executable, str(script)], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout.strip())
-    assert outputs[0] == outputs[1]

@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fishdbc import dataio, distances
+from fishdbc import FISHDBC, dataio, distances
 from fishdbc.dataio import ParseError
-from fishdbc.engine import setup
 
 
 class TestDenseCsv:
@@ -141,7 +140,7 @@ class TestLabels:
 
 class TestWriteResult:
     def run_result(self, rng):
-        engine = setup(distances.euclidean, minpts=2, min_cluster_size=2, rng_seed=0)
+        engine = FISHDBC(distances.euclidean, minpts=2, min_cluster_size=2, rng_seed=0)
         pts = np.vstack(
             [rng.normal(0, 0.01, (5, 2)), rng.normal(0, 0.01, (5, 2)) + 10]
         )

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fishdbc
 from conftest import canonical_labels, two_blob_points
-from fishdbc import FISHDBC, Config, DistanceError, distances, setup
+from fishdbc import FISHDBC, Config, DistanceError, distances
 from fishdbc import oracle
 
 
@@ -38,7 +43,7 @@ class TestConfig:
 
 class TestSetup:
     def test_empty_state(self):
-        engine = setup(distances.euclidean)
+        engine = FISHDBC(distances.euclidean)
         assert engine.n == 0
         assert engine.candidate_count == 0
         assert engine.forest_edges() == []
@@ -46,17 +51,18 @@ class TestSetup:
 
     def test_minpts_one_rejected(self):
         with pytest.raises(ValueError, match="minpts"):
-            setup(distances.cosine, minpts=1)
+            FISHDBC(distances.cosine, minpts=1)
 
     def test_counter_semantics(self):
-        engine = setup(distances.jaccard)
+        engine = FISHDBC(distances.jaccard)
         for payload in ({1, 2}, {2, 3}, {3, 4}):
             engine.add(payload)
         assert engine.n == 3
 
     def test_substructures_agree_on_n(self, rng):
-        engine = setup(distances.euclidean, minpts=3)
-        engine.add_many(rng.random(2) for _ in range(25))
+        engine = FISHDBC(distances.euclidean, minpts=3)
+        for _ in range(25):
+            engine.add(rng.random(2))
         assert len(engine._items) == 25
         assert len(engine._hnsw) == 25
         assert len(engine._neighbors) == 25
@@ -68,25 +74,25 @@ class TestSetup:
 
 class TestAdd:
     def test_first_item(self):
-        engine = setup(distances.euclidean)
+        engine = FISHDBC(distances.euclidean)
         assert engine.add(np.zeros(2)) == 0
         assert engine.distance_calls == 0
         assert engine.candidate_count == 0
 
     def test_second_item(self):
-        engine = setup(distances.euclidean, minpts=2)
+        engine = FISHDBC(distances.euclidean, minpts=2)
         engine.add(np.array([0.0, 0.0]))
         engine.add(np.array([3.0, 4.0]))
         assert engine.distance_calls == 1
         assert engine._buf.get(0, 1) is not None
 
     def test_ids_dense_in_insertion_order(self, rng):
-        engine = setup(distances.euclidean, minpts=3)
+        engine = FISHDBC(distances.euclidean, minpts=3)
         ids = [engine.add(rng.random(2)) for _ in range(20)]
         assert ids == list(range(20))
 
     def test_failing_distance_is_atomic(self, rng):
-        engine = setup(distances.euclidean, minpts=3)
+        engine = FISHDBC(distances.euclidean, minpts=3)
         for _ in range(10):
             engine.add(rng.random(2))
         n_before = engine.n
@@ -116,7 +122,7 @@ class TestAdd:
         # weight equal to the mutual reachability distance implied by the
         # currently known heaps, recomputed by replaying the pair log.
         minpts = 4
-        engine = setup(distances.euclidean, minpts=minpts, ef=20, record_pairs=True)
+        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, record_pairs=True)
         data = rng.random((50, 2))
         for row in data:
             engine.add(row)
@@ -140,7 +146,7 @@ class TestAdd:
 
     def test_buffer_bound_after_every_add(self, rng):
         alpha = 2.0
-        engine = setup(distances.euclidean, minpts=3, ef=10, alpha=alpha)
+        engine = FISHDBC(distances.euclidean, minpts=3, ef=10, alpha=alpha)
         for k in range(300):
             engine.add(rng.random(2))
             n = engine.n
@@ -152,7 +158,7 @@ class TestAdd:
 
 class TestCluster:
     def test_single_item_is_noise(self):
-        engine = setup(distances.euclidean, minpts=2)
+        engine = FISHDBC(distances.euclidean, minpts=2)
         engine.add(np.zeros(2))
         result = engine.cluster()
         assert result.labels.tolist() == [-1]
@@ -160,13 +166,13 @@ class TestCluster:
         assert result.n_clusters == 0
 
     def test_empty_state_rejected(self):
-        engine = setup(distances.euclidean)
+        engine = FISHDBC(distances.euclidean)
         with pytest.raises(ValueError, match="nothing to cluster"):
             engine.cluster()
 
     def test_two_blobs_match_brute_force(self, rng):
         data = two_blob_points(rng, per_blob=100, sep=10.0, std=0.05)
-        engine = setup(distances.euclidean, minpts=5, min_cluster_size=5, rng_seed=3)
+        engine = FISHDBC(distances.euclidean, minpts=5, min_cluster_size=5, rng_seed=3)
         for row in data:
             engine.add(row)
         result = engine.cluster()
@@ -180,7 +186,7 @@ class TestCluster:
         assert canonical_labels(result.labels) == canonical_labels(exact.labels)
 
     def test_repeatable_without_adds(self, rng):
-        engine = setup(distances.euclidean, minpts=3, rng_seed=1)
+        engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=1)
         for _ in range(60):
             engine.add(rng.random(2))
         first = engine.cluster()
@@ -190,7 +196,7 @@ class TestCluster:
 
     def test_larger_mcs_never_yields_smaller_clusters(self, rng):
         data = two_blob_points(rng, per_blob=60)
-        engine = setup(distances.euclidean, minpts=5, rng_seed=9)
+        engine = FISHDBC(distances.euclidean, minpts=5, rng_seed=9)
         for row in data:
             engine.add(row)
         small = engine.cluster(min_cluster_size=5)
@@ -203,7 +209,7 @@ class TestCluster:
         assert large.n_clusters <= small.n_clusters
 
     def test_labels_name_selected_clusters_of_min_size(self, rng):
-        engine = setup(distances.euclidean, minpts=4, rng_seed=11)
+        engine = FISHDBC(distances.euclidean, minpts=4, rng_seed=11)
         for _ in range(150):
             engine.add(rng.random(2))
         result = engine.cluster(min_cluster_size=6)
@@ -224,7 +230,7 @@ class TestDeterminismAndIncrementality:
         data = rng.random((120, 3))
 
         def run():
-            engine = setup(distances.euclidean, minpts=4, ef=15, rng_seed=77)
+            engine = FISHDBC(distances.euclidean, minpts=4, ef=15, rng_seed=77)
             for row in data:
                 engine.add(row)
             result = engine.cluster()
@@ -240,7 +246,7 @@ class TestDeterminismAndIncrementality:
         data = rng.random((130, 2))
 
         def run(interleave):
-            engine = setup(distances.euclidean, minpts=4, ef=15, rng_seed=5)
+            engine = FISHDBC(distances.euclidean, minpts=4, ef=15, rng_seed=5)
             for k, row in enumerate(data):
                 engine.add(row)
                 if interleave and k % 25 == 24:
@@ -258,7 +264,7 @@ class TestDeterminismAndIncrementality:
         data = rng.random((80, 2))
 
         def run(flush_every):
-            engine = setup(distances.euclidean, minpts=3, rng_seed=6)
+            engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=6)
             for k, row in enumerate(data):
                 engine.add(row)
                 if flush_every and k % flush_every == 0:
@@ -285,8 +291,40 @@ class TestStateSizeInvariant:
                     assert stored <= seen[key]
                 seen[key] = stored
 
-        engine = setup(distances.euclidean, minpts=3, rng_seed=2)
+        engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=2)
         engine._buf = CheckingBuffer()
         for _ in range(120):
             engine.add(rng.random(2))
         assert seen
+
+
+def test_no_heavy_runtime_imports():
+    """Adding and clustering in a fresh interpreter imports no third-party
+    package besides numpy: scipy's import alone costs about 0.35 s and 33 MB.
+    """
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "points = np.random.default_rng(0).random((40, 2))\n"
+        "before = {m.split('.')[0] for m in sys.modules}\n"
+        "import fishdbc\n"
+        "engine = fishdbc.FISHDBC(fishdbc.distances.euclidean, minpts=3)\n"
+        "for p in points:\n"
+        "    engine.add(p)\n"
+        "assert len(engine.cluster().labels) == 40\n"
+        "after = {m.split('.')[0] for m in sys.modules}\n"
+        "print(fishdbc.__file__)\n"
+        "print(sorted(after - before - set(sys.stdlib_module_names)))\n"
+    )
+    # The child imports the same package as this process: its root goes
+    # first on the inherited PYTHONPATH.
+    env = dict(os.environ)
+    root = str(Path(fishdbc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    child_file, added = proc.stdout.splitlines()
+    assert Path(child_file).resolve() == Path(fishdbc.__file__).resolve()
+    assert added == "['fishdbc']"

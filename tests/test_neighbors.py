@@ -102,24 +102,3 @@ class TestCoreDistance:
             cur = store.core_distance(0)
             assert cur <= prev
             prev = cur
-
-
-class TestNeighborsCloserThan:
-    def test_zero_threshold_empty(self):
-        store = make_store(3, distances=[1.0, 2.0, 5.0])
-        assert store.neighbors_closer_than(0, 0.0) == []
-
-    def test_inf_threshold_whole_heap(self):
-        store = make_store(3, distances=[1.0, 2.0, 5.0])
-        got = sorted(d for _, d in store.neighbors_closer_than(0, math.inf))
-        assert got == [1.0, 2.0, 5.0]
-
-    def test_filter_semantics(self):
-        store = make_store(3, distances=[1.0, 2.0, 5.0])
-        got = sorted(d for _, d in store.neighbors_closer_than(0, 3.0))
-        assert got == [1.0, 2.0]
-
-    def test_unknown_id(self):
-        store = NeighborStore(2)
-        with pytest.raises(KeyError):
-            store.neighbors_closer_than(3, 1.0)
