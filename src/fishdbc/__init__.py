@@ -13,7 +13,7 @@ function, with cheap incremental updates as items arrive.
     result.condensed    # hierarchy with per-cluster stabilities
 """
 
-from .engine import FISHDBC, ClusterResult, Config
+from .engine import FISHDBC, ClusterResult
 from .distances import DistanceError
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FISHDBC",
     "ClusterResult",
-    "Config",
     "DistanceError",
     "__version__",
 ]

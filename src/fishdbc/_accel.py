@@ -33,12 +33,11 @@ def kruskal_mask(lo, hi, n):
     return np.frombuffer(keep, dtype=np.bool_)
 
 
-def linkage_merges(lo, hi, weight, n):
+def linkage_merges(lo, hi, n):
     """Single-linkage merge rows from an acyclic edge list sorted ascending.
 
     Returns (left, right, size, count); count == -1 signals a cycle.
     Internal dendrogram nodes are numbered n, n+1, ... in merge order.
-    ``weight`` is not read: the rows follow the given edge order.
     """
     parent = list(range(n))
     node = list(range(n))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio, distances, metrics, oracle
 from .dataio import ParseError
-from .engine import Config, FISHDBC
+from .engine import FISHDBC
 
 __all__ = ["main"]
 
@@ -90,14 +90,15 @@ def build_parser():
 def _make_engine(args, record_pairs=False):
     distance = distances.by_name(args.distance)
     dataio.check_format_distance(args.format, args.distance)
-    config = Config(
+    return FISHDBC(
+        distance,
         minpts=args.minpts,
         ef=args.ef,
         min_cluster_size=args.min_cluster_size,
         alpha=args.alpha,
         rng_seed=args.seed,
+        record_pairs=record_pairs,
     )
-    return FISHDBC(distance, config, record_pairs=record_pairs)
 
 
 def _print_summary(summary):

@@ -176,12 +176,6 @@ def write_dataset(fmt, path, payloads):
         elif fmt == "set-lines":
             for s in payloads:
                 fh.write(" ".join(str(v) for v in sorted(s)) + "\n")
-        elif fmt == "bitmap-csv":
-            for row in payloads:
-                fh.write(",".join("1" if v else "0" for v in row) + "\n")
-        elif fmt == "text-lines":
-            for line in payloads:
-                fh.write(line + "\n")
         else:
             raise ValueError(f"writing format {fmt!r} is not supported")
 

@@ -18,6 +18,7 @@ pairs.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,50 +27,7 @@ from .hnsw import Hnsw
 from .msf import CandidateBuffer, Msf, should_flush, update_msf
 from .neighbors import NeighborStore
 
-__all__ = ["Config", "ClusterResult", "FISHDBC"]
-
-
-@dataclass
-class Config:
-    """Engine parameters. ``None`` fields are derived from ``minpts``."""
-
-    minpts: int = 10
-    ef: int = 20
-    min_cluster_size: int = None
-    alpha: float = 32.0
-    hnsw_m: int = None
-    hnsw_m0: int = None
-    level_mult: float = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.min_cluster_size is None:
-            self.min_cluster_size = self.minpts
-        if self.hnsw_m is None:
-            self.hnsw_m = self.minpts
-        if self.hnsw_m0 is None:
-            self.hnsw_m0 = 2 * self.hnsw_m
-        if self.level_mult is None:
-            self.level_mult = 0.0 if self.hnsw_m == 1 else 1.0 / math.log(self.hnsw_m)
-        self.validate()
-
-    def validate(self):
-        if self.minpts < 2:
-            raise ValueError(f"minpts must be >= 2 (got {self.minpts})")
-        if self.ef < 1:
-            raise ValueError(f"ef must be >= 1 (got {self.ef})")
-        if self.min_cluster_size < 2:
-            raise ValueError(
-                f"min_cluster_size must be >= 2 (got {self.min_cluster_size})"
-            )
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1 (got {self.alpha})")
-        if self.hnsw_m < 1:
-            raise ValueError(f"hnsw_m must be >= 1 (got {self.hnsw_m})")
-        if self.hnsw_m0 < 1:
-            raise ValueError(f"hnsw_m0 must be >= 1 (got {self.hnsw_m0})")
-        if self.level_mult < 0:
-            raise ValueError(f"level_mult must be >= 0 (got {self.level_mult})")
+__all__ = ["ClusterResult", "FISHDBC"]
 
 
 @dataclass
@@ -96,25 +54,34 @@ class FISHDBC:
     ``cluster`` must not run concurrently.
     """
 
-    def __init__(self, distance, config=None, *, record_pairs=False, **overrides):
-        if config is None:
-            config = Config(**overrides)
-        elif overrides:
-            raise TypeError("pass either a Config or keyword overrides, not both")
-        self.config = config
+    def __init__(self, distance, *, minpts=10, ef=20, min_cluster_size=None,
+                 alpha=32.0, rng_seed=0, record_pairs=False):
+        # NeighborStore rejects minpts < 2 before math.log(minpts) runs.
+        self._neighbors = NeighborStore(minpts)
+        if ef < 1:
+            raise ValueError(f"ef must be >= 1 (got {ef})")
+        if min_cluster_size is None:
+            min_cluster_size = minpts
+        if min_cluster_size < 2:
+            raise ValueError(f"min_cluster_size must be >= 2 (got {min_cluster_size})")
+        if alpha < 1:
+            raise ValueError(f"alpha must be >= 1 (got {alpha})")
+        self.min_cluster_size = min_cluster_size
+        self.alpha = alpha
         self._distance = distance
         self._items = []
-        self._rng = np.random.default_rng(config.rng_seed)
+        self._rng = np.random.default_rng(rng_seed)
+        # The HNSW paper's recommended settings (Malkov & Yashunin):
+        # M = minpts, M_max0 = 2M and level multiplier m_L = 1 / ln M.
         self._hnsw = Hnsw(
             distance,
             self._items,
-            m=config.hnsw_m,
-            m0=config.hnsw_m0,
-            ef=config.ef,
-            level_mult=config.level_mult,
+            m=minpts,
+            m0=2 * minpts,
+            ef=ef,
+            level_mult=1.0 / math.log(minpts),
             rng=self._rng,
         )
-        self._neighbors = NeighborStore(config.minpts)
         self._buf = CandidateBuffer()
         self._msf = Msf()
         self._distance_calls = 0
@@ -136,13 +103,6 @@ class FISHDBC:
     @property
     def candidate_count(self):
         return len(self._buf)
-
-    @property
-    def items(self):
-        return self._items
-
-    def core_distance(self, x):
-        return self._neighbors.core_distance(x)
 
     def pair_log(self):
         """All computed pairs as {(i, j): distance}, i < j.
@@ -202,7 +162,7 @@ class FISHDBC:
         buf = self._buf
         core = ns.core_distance
         before = len(buf)
-        for a, b, v in triples:
+        for a, b, v in chain(triples, evictions):
             w = v
             c = core(a)
             if c > w:
@@ -219,18 +179,9 @@ class FISHDBC:
                 if cz > w:
                     w = cz
                 buf.push(y, z, w)
-        for y, z, d in evictions:
-            w = d
-            c = core(y)
-            if c > w:
-                w = c
-            c = core(z)
-            if c > w:
-                w = c
-            buf.push(y, z, w)
         self.last_add_pushes = len(buf) - before
 
-        if should_flush(len(buf), len(self._items), self.config.alpha):
+        if should_flush(len(buf), len(self._items), self.alpha):
             self.flush()
         return x
 
@@ -250,11 +201,7 @@ class FISHDBC:
         """
         if not self._items:
             raise ValueError("nothing to cluster: no items added")
-        m_cs = (
-            self.config.min_cluster_size
-            if min_cluster_size is None
-            else min_cluster_size
-        )
+        m_cs = self.min_cluster_size if min_cluster_size is None else min_cluster_size
         if m_cs < 2:
             raise ValueError(f"min cluster size must be >= 2 (got {m_cs})")
         self.flush()

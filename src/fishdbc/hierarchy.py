@@ -29,7 +29,6 @@ __all__ = [
     "FlatSelection",
     "build_dendrogram",
     "condense",
-    "stability",
     "extract_flat",
     "tree_to_dict",
     "tree_from_dict",
@@ -82,9 +81,6 @@ class CondensedTree:
     # are themselves selectable.
     single_root: bool = True
 
-    def cluster_by_id(self, cid):
-        return self.clusters[cid]
-
     def selected_ids(self):
         return [c.id for c in self.clusters if c.selected]
 
@@ -108,7 +104,7 @@ def build_dendrogram(lo, hi, weight, n):
         raise ValueError("dendrogram input must not contain infinite weights")
     order = np.lexsort((hi, lo, weight))
     lo, hi, weight = lo[order], hi[order], weight[order]
-    left, right, size, count = _accel.linkage_merges(lo, hi, weight, n)
+    left, right, size, count = _accel.linkage_merges(lo, hi, n)
     if count < 0:
         raise ValueError("cyclic input: edge list is not a forest")
     return Dendrogram(
@@ -225,6 +221,10 @@ def _span(lam, birth):
 
 
 def _fill_stabilities(tree):
+    """Set each record's stability: the sum over its points of (lambda at
+    departure - birth lambda). Points leaving directly contribute their
+    fall-out event; points passing into child clusters contribute the
+    child's birth density."""
     acc = [0.0] * len(tree.clusters)
     for _, cid, lam in tree.events:
         if cid >= 0:
@@ -235,25 +235,6 @@ def _fill_stabilities(tree):
             acc[rec.parent] += rec.size * _span(rec.birth_lambda, parent.birth_lambda)
     for rec, s in zip(tree.clusters, acc):
         rec.stability = s
-
-
-def stability(tree, cluster_id):
-    """Sum over the cluster's points of (lambda at departure - birth lambda).
-
-    Points leaving directly contribute their fall-out event; points passing
-    into child clusters contribute the parent's death density. Recomputed
-    from the event log on every call; records carry the same value cached.
-    """
-    rec = tree.clusters[cluster_id]
-    birth = rec.birth_lambda
-    total = 0.0
-    for _, cid, lam in tree.events:
-        if cid == cluster_id:
-            total += _span(lam, birth)
-    for child in tree.clusters:
-        if child.parent == cluster_id:
-            total += child.size * _span(child.birth_lambda, birth)
-    return total
 
 
 def extract_flat(tree):

@@ -78,10 +78,6 @@ class Hnsw:
         u = 1.0 - self._rng.random()  # in (0, 1]
         return int(-math.log(u) * self._level_mult)
 
-    def neighborhood(self, x, layer=0):
-        """Current adjacency of x at a layer, as a {neighbor: dist} copy."""
-        return dict(self._layers[layer][x])
-
     def insert(self, x):
         """Link item x into the graph.
 
@@ -93,43 +89,15 @@ class Hnsw:
         if x in self._levels:
             raise ValueError(f"item {x} already inserted")
         rec = _Recorder(self._distance, self._items)
+        # A failed insertion must not spend its level draw: later levels,
+        # and with them every later result, would depend on the failure.
+        rng_state = self._rng.bit_generator.state
         level = self.assign_level()
-
-        staged = []
-        if self._entry is not None:
-            ep = self._entry
-            ep_dist = rec(x, ep)
-            top = len(self._layers) - 1
-            for lc in range(top, level, -1):
-                ep, ep_dist = self._greedy_search(x, ep, ep_dist, self._layers[lc], rec)
-            entry_points = [(-ep_dist, ep)]
-            for lc in range(min(level, top), -1, -1):
-                layer = self._layers[lc]
-                cap = self._m0 if lc == 0 else self._m
-                entry_points = self._beam_search(x, entry_points, layer, self._ef, rec)
-                candidates = sorted((-nd, node) for nd, node in entry_points)
-                selected = self._select_heuristic(candidates, cap, rec)
-                x_adj = {node: d for d, node in selected}
-                backlinks = {}
-                removals = []
-                for d_xn, node in selected:
-                    adj = layer[node]
-                    if len(adj) < cap:
-                        merged = dict(adj)
-                        merged[x] = d_xn
-                        backlinks[node] = merged
-                    else:
-                        pool = sorted([(dd, p) for p, dd in adj.items()] + [(d_xn, x)])
-                        pruned = {p: dd for dd, p in self._select_heuristic(pool, cap, rec)}
-                        backlinks[node] = pruned
-                        # Adjacency stays symmetric: every link the prune
-                        # dropped disappears from the other endpoint too.
-                        if x not in pruned:
-                            del x_adj[node]
-                        for old in adj:
-                            if old not in pruned:
-                                removals.append((node, old))
-                staged.append((lc, x_adj, backlinks, removals))
+        try:
+            staged = self._stage(x, level, rec)
+        except BaseException:
+            self._rng.bit_generator.state = rng_state
+            raise
 
         # Commit phase: no distance calls from here on.
         for lc, x_adj, backlinks, removals in staged:
@@ -147,6 +115,47 @@ class Hnsw:
             self._entry = x
         self._levels[x] = level
         return rec.finish()
+
+    def _stage(self, x, level, rec):
+        """Every distance call of x's insertion, and the graph edits they
+        decide as (layer, x's adjacency, replaced adjacencies, removals)."""
+        staged = []
+        if self._entry is None:
+            return staged
+        ep = self._entry
+        ep_dist = rec(x, ep)
+        top = len(self._layers) - 1
+        for lc in range(top, level, -1):
+            ep, ep_dist = self._greedy_search(x, ep, ep_dist, self._layers[lc], rec)
+        entry_points = [(-ep_dist, ep)]
+        for lc in range(min(level, top), -1, -1):
+            layer = self._layers[lc]
+            cap = self._m0 if lc == 0 else self._m
+            entry_points = self._beam_search(x, entry_points, layer, self._ef, rec)
+            candidates = sorted((-nd, node) for nd, node in entry_points)
+            selected = self._select_heuristic(candidates, cap, rec)
+            x_adj = {node: d for d, node in selected}
+            backlinks = {}
+            removals = []
+            for d_xn, node in selected:
+                adj = layer[node]
+                if len(adj) < cap:
+                    merged = dict(adj)
+                    merged[x] = d_xn
+                    backlinks[node] = merged
+                else:
+                    pool = sorted([(dd, p) for p, dd in adj.items()] + [(d_xn, x)])
+                    pruned = {p: dd for dd, p in self._select_heuristic(pool, cap, rec)}
+                    backlinks[node] = pruned
+                    # Adjacency stays symmetric: every link the prune
+                    # dropped disappears from the other endpoint too.
+                    if x not in pruned:
+                        del x_adj[node]
+                    for old in adj:
+                        if old not in pruned:
+                            removals.append((node, old))
+            staged.append((lc, x_adj, backlinks, removals))
+        return staged
 
     def _greedy_search(self, x, start, start_dist, layer, rec):
         best, best_dist = start, start_dist

@@ -69,6 +69,5 @@ class TestLinkageKernel:
     def test_cycle_flagged(self):
         lo = np.array([0, 1, 0], dtype=np.int64)
         hi = np.array([1, 2, 2], dtype=np.int64)
-        w = np.array([1.0, 2.0, 3.0])
-        *_, count = _accel.linkage_merges(lo, hi, w, 3)
+        *_, count = _accel.linkage_merges(lo, hi, 3)
         assert count == -1

@@ -58,9 +58,7 @@ def test_criterion_1_masked_matrix_equivalence():
             engine = run_engine(payloads, dist, minpts, ef=20, seed=trial)
             result = engine.cluster()
             masked = oracle.matrix_from_pairs(n, engine.pair_log())
-            exact = oracle.exact_cluster(
-                masked, minpts, engine.config.min_cluster_size
-            )
+            exact = oracle.exact_cluster(masked, minpts, engine.min_cluster_size)
 
             # Mutual-reachability weights tie through shared core distances;
             # both sides break ties by (w, lo, hi), so the forests must agree

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import canonical_labels
 from fishdbc import dataio
-from fishdbc.cli import main
+from fishdbc.cli import _make_engine, build_parser, main
 
 
 def write_blobs(tmp_path, n=120, dim=2, centers=2, seed=0, sep=None):
@@ -97,6 +97,25 @@ class TestClusterCommand:
         n, pairs = dataio.read_distance_log(out / "distances.log")
         assert n == 40
         assert pairs
+
+    @pytest.mark.parametrize("command, extra", [
+        ("cluster", []),
+        ("stream", ["--chunk", "10"]),
+    ])
+    def test_engine_knobs_passed_through(self, command, extra):
+        args = build_parser().parse_args([
+            command, "--input", "x.csv", "--format", "dense-csv",
+            "--distance", "euclidean", "--out", "x", *extra,
+            "--minpts", "7", "--ef", "33", "--min-cluster-size", "12",
+            "--alpha", "4.5", "--seed", "21",
+        ])
+        engine = _make_engine(args)
+        assert engine._neighbors.minpts == 7
+        assert engine._hnsw._ef == 33
+        assert engine.min_cluster_size == 12
+        assert engine.alpha == 4.5
+        seeded = np.random.default_rng(21).bit_generator.state
+        assert engine._rng.bit_generator.state == seeded
 
     def test_ef_increases_distance_calls(self, tmp_path):
         data, _ = write_blobs(tmp_path, n=150)

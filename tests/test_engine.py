@@ -9,23 +9,24 @@ import pytest
 
 import fishdbc
 from conftest import canonical_labels, two_blob_points
-from fishdbc import FISHDBC, Config, DistanceError, distances
+from fishdbc import FISHDBC, DistanceError, distances
 from fishdbc import oracle
 
 
 class TestConfig:
     def test_defaults(self):
-        cfg = Config()
-        assert cfg.minpts == 10
-        assert cfg.ef == 20
-        assert cfg.min_cluster_size == 10
-        assert cfg.alpha == 32.0
-        assert cfg.hnsw_m == 10
-        assert cfg.hnsw_m0 == 20
-        assert cfg.level_mult == pytest.approx(1.0 / math.log(10))
+        engine = FISHDBC(distances.euclidean)
+        assert engine._neighbors.minpts == 10
+        assert engine._hnsw._ef == 20
+        assert engine.min_cluster_size == 10
+        assert engine.alpha == 32.0
+        # HNSW degrees and level multiplier follow from minpts alone.
+        assert engine._hnsw._m == 10
+        assert engine._hnsw._m0 == 20
+        assert engine._hnsw._level_mult == 1.0 / math.log(10)
 
     def test_mcs_defaults_to_minpts(self):
-        assert Config(minpts=7).min_cluster_size == 7
+        assert FISHDBC(distances.euclidean, minpts=7).min_cluster_size == 7
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -38,7 +39,7 @@ class TestConfig:
     )
     def test_bounds_reported(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
-            Config(**kwargs)
+            FISHDBC(distances.euclidean, **kwargs)
 
 
 class TestSetup:
@@ -67,9 +68,13 @@ class TestSetup:
         assert len(engine._hnsw) == 25
         assert len(engine._neighbors) == 25
 
-    def test_config_and_overrides_conflict(self):
+    def test_positional_and_removed_knobs_rejected(self):
+        # Knobs are keyword-only, and the HNSW ones follow from minpts.
         with pytest.raises(TypeError):
-            FISHDBC(distances.euclidean, Config(), minpts=5)
+            FISHDBC(distances.euclidean, 10)
+        for knob, value in (("hnsw_m", 5), ("hnsw_m0", 10), ("level_mult", 0.5)):
+            with pytest.raises(TypeError, match=knob):
+                FISHDBC(distances.euclidean, **{knob: value})
 
 
 class TestAdd:
@@ -116,6 +121,29 @@ class TestAdd:
         engine._distance = distances.euclidean
         engine._hnsw._distance = distances.euclidean
         assert engine.add(rng.random(2)) == n_before
+
+    def test_failed_add_leaves_later_results_unchanged(self, rng):
+        # The failed add must not consume anything later inserts depend on,
+        # such as the level draw of the HNSW's random generator.
+        data = rng.random((400, 4))
+        bad = object()
+
+        def fragile(a, b):
+            if a is bad or b is bad:
+                return float("nan")
+            return distances.euclidean(a, b)
+
+        def run(fail_at):
+            engine = FISHDBC(fragile, minpts=5, rng_seed=3)
+            for k, row in enumerate(data):
+                if k == fail_at:
+                    with pytest.raises(DistanceError):
+                        engine.add(bad)
+                engine.add(row)
+            labels = engine.cluster().labels.tolist()
+            return engine.distance_calls, engine.forest_edges(), labels
+
+        assert run(fail_at=49) == run(fail_at=None)
 
     def test_replay_oracle_weights(self, rng):
         # Every computed pair must appear in candidates plus forest with

@@ -7,10 +7,10 @@ import pytest
 from fishdbc.hierarchy import (
     ClusterRecord,
     CondensedTree,
+    _fill_stabilities,
     build_dendrogram,
     condense,
     extract_flat,
-    stability,
     tree_from_dict,
     tree_to_dict,
 )
@@ -250,36 +250,39 @@ class TestCondense:
 
 class TestStability:
     def build_tree(self, records, events, single_root=True, n_points=None):
+        """A CondensedTree over the given records, stabilities filled in."""
         if n_points is None:
             n_points = max((p for p, _, _ in events), default=0) + 1
-        return CondensedTree(
+        tree = CondensedTree(
             n_points=n_points,
             clusters=records,
             events=events,
             single_root=single_root,
         )
+        _fill_stabilities(tree)
+        return tree
 
     def test_all_points_fall_at_birth(self):
         rec = ClusterRecord(0, -1, 2.0, 2.0, 3, 0.0)
         tree = self.build_tree([rec], [(0, 0, 2.0), (1, 0, 2.0), (2, 0, 2.0)])
-        assert stability(tree, 0) == 0.0
+        assert tree.clusters[0].stability == 0.0
 
     def test_summation(self):
         rec = ClusterRecord(0, -1, 1.0, 4.0, 3, 0.0)
         tree = self.build_tree([rec], [(0, 0, 2.0), (1, 0, 3.0), (2, 0, 4.0)])
-        assert stability(tree, 0) == 6.0
+        assert tree.clusters[0].stability == 6.0
 
     def test_child_contribution(self):
         parent = ClusterRecord(0, -1, 1.0, 3.0, 10, 0.0)
         child = ClusterRecord(1, 0, 3.0, 5.0, 4, 0.0)
         tree = self.build_tree([parent, child], [(0, 0, 2.0)], n_points=10)
         # One direct fall-out (2-1) plus 4 points carried to death (3-1).
-        assert stability(tree, 0) == 1.0 + 4 * 2.0
+        assert tree.clusters[0].stability == 1.0 + 4 * 2.0
 
     def test_infinite_birth_guard(self):
         rec = ClusterRecord(0, -1, math.inf, math.inf, 2, 0.0)
         tree = self.build_tree([rec], [(0, 0, math.inf), (1, 0, math.inf)])
-        assert stability(tree, 0) == 0.0
+        assert tree.clusters[0].stability == 0.0
 
     def test_matches_event_log_oracle_on_random_tree(self, rng):
         n = 100
@@ -301,7 +304,6 @@ class TestStability:
                 if c.parent == rec.id
             )
             assert rec.stability == pytest.approx(direct + carried)
-            assert stability(tree, rec.id) == pytest.approx(direct + carried)
 
 
 class TestExtractFlat:
