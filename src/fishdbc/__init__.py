@@ -13,8 +13,9 @@ function, with cheap incremental updates as items arrive.
     result.condensed    # hierarchy with per-cluster stabilities
 """
 
-from .engine import FISHDBC, ClusterResult
 from .distances import DistanceError
+from .engine import FISHDBC
+from .hierarchy import ClusterResult
 
 __version__ = "0.1.0"
 

@@ -101,6 +101,20 @@ def _make_engine(args, record_pairs=False):
     )
 
 
+def _add(engine, payload, path):
+    """engine.add, with a distance error on the item reported as bad data."""
+    try:
+        return engine.add(payload)
+    except ValueError as exc:
+        # A failed add changes nothing, so engine.n is the item's index.
+        raise ParseError(f"{path}: item {engine.n}: {exc}") from None
+
+
+def _require_items(n, path):
+    if n == 0:
+        raise ParseError(f"{path}: no items to cluster")
+
+
 def _print_summary(summary):
     for key, value in summary.items():
         print(f"{key}={value}")
@@ -110,8 +124,9 @@ def cmd_cluster(args):
     engine = _make_engine(args, record_pairs=args.log_distances)
     t0 = time.perf_counter()
     for payload in dataio.read_dataset(args.format, args.input):
-        engine.add(payload)
+        _add(engine, payload, args.input)
     build_seconds = time.perf_counter() - t0
+    _require_items(engine.n, args.input)
     t0 = time.perf_counter()
     result = engine.cluster()
     cluster_seconds = time.perf_counter() - t0
@@ -172,12 +187,13 @@ def cmd_stream(args):
         fh.write("n,calls,calls_per_item,calls_per_item_chunk\n")
     for payload in dataio.read_dataset(args.format, args.input):
         t0 = time.perf_counter()
-        engine.add(payload)
+        _add(engine, payload, args.input)
         build_seconds += time.perf_counter() - t0
         in_chunk += 1
         if in_chunk == args.chunk:
             snapshot()
             in_chunk = 0
+    _require_items(engine.n, args.input)
     if in_chunk or step == 0:
         snapshot()
     print(f"steps={step}")
@@ -246,12 +262,16 @@ def cmd_oracle(args):
         dataio.check_format_distance(args.format, args.distance)
         items = list(dataio.read_dataset(args.format, args.input))
         n = len(items)
+        _require_items(n, args.input)
         if n > oracle.MAX_N:
             raise ValueError(f"dataset too large for the oracle: {n} > {oracle.MAX_N}")
         matrix = np.zeros((n, n))
         for i in range(n):
             for j in range(i + 1, n):
-                d = distance(items[i], items[j])
+                try:
+                    d = distance(items[i], items[j])
+                except ValueError as exc:
+                    raise ParseError(f"{args.input}: items {i}, {j}: {exc}") from None
                 matrix[i, j] = d
                 matrix[j, i] = d
                 calls += 1

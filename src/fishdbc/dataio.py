@@ -248,6 +248,8 @@ def read_distance_log(path):
         n = int(first)
     except (StopIteration, ValueError):
         raise ParseError(f"{path}: expected item count on the first line") from None
+    if n < 0:
+        raise ParseError(f"{path}: item count must be >= 0 (got {n})")
     pairs = {}
     for lineno, line in gen:
         parts = line.split()
@@ -257,6 +259,12 @@ def read_distance_log(path):
             i, j, d = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParseError(f"{path}:{lineno}: item id outside 0..{n - 1}")
+        if i == j:
+            raise ParseError(f"{path}:{lineno}: pair of an item with itself")
+        if not d >= 0.0:  # catches NaN and negatives
+            raise ParseError(f"{path}:{lineno}: distance {d} is not >= 0")
         pairs[(i, j)] = d
     return n, pairs
 

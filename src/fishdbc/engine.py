@@ -17,7 +17,6 @@ pairs.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -27,23 +26,7 @@ from .hnsw import Hnsw
 from .msf import CandidateBuffer, Msf, should_flush, update_msf
 from .neighbors import NeighborStore
 
-__all__ = ["ClusterResult", "FISHDBC"]
-
-
-@dataclass
-class ClusterResult:
-    """Flat labels (-1 = noise) plus the condensed tree they came from."""
-
-    labels: np.ndarray
-    condensed: "CondensedTree"
-
-    @property
-    def n_clusters(self):
-        return len(self.condensed.selected_ids())
-
-    @property
-    def n_clustered(self):
-        return int((self.labels >= 0).sum())
+__all__ = ["FISHDBC"]
 
 
 class FISHDBC:
@@ -68,7 +51,6 @@ class FISHDBC:
             raise ValueError(f"alpha must be >= 1 (got {alpha})")
         self.min_cluster_size = min_cluster_size
         self.alpha = alpha
-        self._distance = distance
         self._items = []
         self._rng = np.random.default_rng(rng_seed)
         # The HNSW paper's recommended settings (Malkov & Yashunin):
@@ -207,6 +189,4 @@ class FISHDBC:
         self.flush()
         n = len(self._items)
         dend = build_dendrogram(self._msf.lo, self._msf.hi, self._msf.weight, n)
-        tree = condense(dend, m_cs)
-        flat = extract_flat(tree)
-        return ClusterResult(labels=flat.labels, condensed=tree)
+        return extract_flat(condense(dend, m_cs))

@@ -26,12 +26,11 @@ __all__ = [
     "Dendrogram",
     "ClusterRecord",
     "CondensedTree",
-    "FlatSelection",
+    "ClusterResult",
     "build_dendrogram",
     "condense",
     "extract_flat",
     "tree_to_dict",
-    "tree_from_dict",
 ]
 
 INF = math.inf
@@ -53,9 +52,6 @@ class Dendrogram:
 
     def __len__(self):
         return self.left.shape[0]
-
-    def node_size(self, node):
-        return 1 if node < self.n_points else int(self.size[node - self.n_points])
 
 
 @dataclass
@@ -86,9 +82,19 @@ class CondensedTree:
 
 
 @dataclass
-class FlatSelection:
-    selected: list
+class ClusterResult:
+    """Flat labels (-1 = noise) plus the condensed tree they came from."""
+
     labels: np.ndarray
+    condensed: CondensedTree
+
+    @property
+    def n_clusters(self):
+        return len(self.condensed.selected_ids())
+
+    @property
+    def n_clustered(self):
+        return int((self.labels >= 0).sum())
 
 
 def build_dendrogram(lo, hi, weight, n):
@@ -116,19 +122,6 @@ def build_dendrogram(lo, hi, weight, n):
     )
 
 
-def _leaves_under(dend, node):
-    n = dend.n_points
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur < n:
-            yield cur
-        else:
-            i = cur - n
-            stack.append(int(dend.right[i]))
-            stack.append(int(dend.left[i]))
-
-
 def condense(dend, m_cs):
     """Keep only splits where both sides have at least m_cs items.
 
@@ -139,12 +132,14 @@ def condense(dend, m_cs):
     if m_cs < 2:
         raise ValueError(f"min cluster size must be >= 2 (got {m_cs})")
     n = dend.n_points
-    m = len(dend)
-    is_child = np.zeros(n + m, dtype=bool)
-    if m:
-        is_child[dend.left] = True
-        is_child[dend.right] = True
-    roots = [i for i in range(n + m) if not is_child[i]]
+    left = dend.left.tolist()
+    right = dend.right.tolist()
+    weight = dend.weight.tolist()
+    sizes = [1] * n + dend.size.tolist()  # indexed by node id
+    is_child = np.zeros(n + len(dend), dtype=bool)
+    is_child[dend.left] = True
+    is_child[dend.right] = True
+    roots = np.flatnonzero(~is_child).tolist()
     multi = len(roots) > 1
 
     clusters = []
@@ -165,8 +160,15 @@ def condense(dend, m_cs):
         return cid
 
     def shed(node, cid, lam):
-        for leaf in _leaves_under(dend, node):
-            events.append((leaf, cid, lam))
+        # Depth first, left before right: the event order tree.json keeps.
+        stack = [node]
+        while stack:
+            cur = stack.pop()
+            if cur < n:
+                events.append((cur, cid, lam))
+            else:
+                stack.append(right[cur - n])
+                stack.append(left[cur - n])
 
     for root in roots:
         if root < n:
@@ -174,23 +176,22 @@ def condense(dend, m_cs):
             if multi:
                 events.append((root, -1, 0.0))
             continue
-        rsize = dend.node_size(root)
-        if multi and rsize < m_cs:
+        if multi and sizes[root] < m_cs:
             shed(root, -1, 0.0)
             continue
-        rid = new_cluster(parent=-1, birth=0.0, size=rsize)
+        rid = new_cluster(parent=-1, birth=0.0, size=sizes[root])
         todo = deque([(root, rid)])
         while todo:
             node, cid = todo.popleft()
             i = node - n
-            w = float(dend.weight[i])
+            w = weight[i]
             lam = INF if w == 0.0 else 1.0 / w
-            l, r = int(dend.left[i]), int(dend.right[i])
-            sl, sr = dend.node_size(l), dend.node_size(r)
+            l, r = left[i], right[i]
+            sl, sr = sizes[l], sizes[r]
             if sl >= m_cs and sr >= m_cs:
                 clusters[cid].death_lambda = lam
                 for child in (l, r):
-                    ncid = new_cluster(parent=cid, birth=lam, size=dend.node_size(child))
+                    ncid = new_cluster(parent=cid, birth=lam, size=sizes[child])
                     todo.append((child, ncid))
             elif sl >= m_cs:
                 shed(r, cid, lam)
@@ -241,8 +242,9 @@ def extract_flat(tree):
     """Select the stability-maximizing antichain of clusters and label items.
 
     Bottom-up: a cluster beats its descendants only when its stability
-    strictly exceeds the sum of the best selections inside it. Records'
-    ``selected`` flags are updated in place.
+    strictly exceeds the sum of the best selections inside it. The selection
+    is recorded in the records' ``selected`` flags, in place; the returned
+    :class:`ClusterResult` holds the labels and ``tree`` itself.
     """
     k = len(tree.clusters)
     children = [[] for _ in range(k)]
@@ -272,8 +274,7 @@ def extract_flat(tree):
 
     for rec in tree.clusters:
         rec.selected = selected[rec.id]
-    chosen = [cid for cid in range(k) if selected[cid]]
-    label_of = {cid: i for i, cid in enumerate(chosen)}
+    label_of = {cid: i for i, cid in enumerate(tree.selected_ids())}
 
     labels = np.full(tree.n_points, -1, dtype=np.int64)
     resolve = {}
@@ -288,7 +289,7 @@ def extract_flat(tree):
             lbl = -1 if cur == -1 else label_of[cur]
             resolve[cid] = lbl
         labels[point] = lbl
-    return FlatSelection(selected=chosen, labels=labels)
+    return ClusterResult(labels=labels, condensed=tree)
 
 
 def tree_to_dict(tree):
@@ -311,27 +312,3 @@ def tree_to_dict(tree):
             {"point": p, "cluster": c, "lambda": lam} for p, c, lam in tree.events
         ],
     }
-
-
-def tree_from_dict(doc):
-    clusters = [
-        ClusterRecord(
-            id=c["id"],
-            parent=c["parent"],
-            birth_lambda=float(c["birth_lambda"]),
-            death_lambda=float(c["death_lambda"]),
-            size=c["size"],
-            stability=float(c["stability"]),
-            selected=c["selected"],
-        )
-        for c in doc["clusters"]
-    ]
-    events = [
-        (e["point"], e["cluster"], float(e["lambda"])) for e in doc["point_events"]
-    ]
-    return CondensedTree(
-        n_points=doc["n_points"],
-        clusters=clusters,
-        events=events,
-        single_root=doc["single_root"],
-    )

@@ -61,14 +61,15 @@ class Hnsw:
         self._level_mult = level_mult
         self._rng = rng
         self._layers = []  # layer 0 first; each: {node: {neighbor: dist}}
-        self._levels = {}  # node -> top level
         self._entry = None
 
+    # Every inserted node is in layer 0; there are no layers before the
+    # first insert.
     def __len__(self):
-        return len(self._levels)
+        return len(self._layers[0]) if self._layers else 0
 
     def __contains__(self, x):
-        return x in self._levels
+        return bool(self._layers) and x in self._layers[0]
 
     @property
     def layer_count(self):
@@ -86,7 +87,7 @@ class Hnsw:
         (duplicates within the insertion keep the minimum value), and the raw
         number of calls before deduplication.
         """
-        if x in self._levels:
+        if x in self:
             raise ValueError(f"item {x} already inserted")
         rec = _Recorder(self._distance, self._items)
         # A failed insertion must not spend its level draw: later levels,
@@ -111,9 +112,6 @@ class Hnsw:
         while len(self._layers) <= level:
             self._layers.append({x: {}})
             self._entry = x
-        if self._entry is None:
-            self._entry = x
-        self._levels[x] = level
         return rec.finish()
 
     def _stage(self, x, level, rec):

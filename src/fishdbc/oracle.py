@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from . import _accel
-from .engine import ClusterResult
 from .hierarchy import build_dendrogram, condense, extract_flat
 
 __all__ = [
@@ -101,9 +100,7 @@ def exact_cluster(matrix, minpts, m_cs=None):
         m_cs = minpts
     lo, hi, w = exact_msf(m, minpts)
     dend = build_dendrogram(lo, hi, w, n)
-    tree = condense(dend, m_cs)
-    flat = extract_flat(tree)
-    return ClusterResult(labels=flat.labels, condensed=tree)
+    return extract_flat(condense(dend, m_cs))
 
 
 def matrix_from_pairs(n, pairs):

@@ -197,6 +197,49 @@ class TestStreamCommand:
         assert code == 1
 
 
+class TestDataErrors:
+    @pytest.mark.parametrize("command, extra", [
+        ("cluster", []),
+        ("stream", ["--chunk", "2"]),
+        ("oracle", []),
+    ])
+    @pytest.mark.parametrize("text, distance, message", [
+        ("0,0\n1,1\n2\n", "euclidean", "dimension mismatch"),
+        ("1,0\n0,0\n", "cosine", "zero-norm"),
+        ("", "euclidean", "no items"),
+    ], ids=["ragged-row", "zero-row-cosine", "empty"])
+    def test_bad_items_exit_2(self, tmp_path, capsys, command, extra, text,
+                              distance, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code = main([
+            command, "--input", str(data), "--format", "dense-csv",
+            "--distance", distance, "--out", str(tmp_path / "o"), *extra,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: " in err and message in err
+
+    def test_failing_item_named(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0,0\n1,1\n2\n")
+        main([
+            "cluster", "--input", str(data), "--format", "dense-csv",
+            "--distance", "euclidean", "--out", str(tmp_path / "o"),
+        ])
+        assert f"{data}: item 2: dimension mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1 5 0.2", "0 1 nan"])
+    def test_bad_distance_log_exit_2(self, tmp_path, row):
+        log = tmp_path / "d.log"
+        log.write_text(f"3\n0 2 1.0\n{row}\n")
+        code = main([
+            "oracle", "--mask-from", str(log), "--minpts", "2",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+
+
 class TestEvalCommand:
     def test_perfect_predictions(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"

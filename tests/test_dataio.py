@@ -157,7 +157,7 @@ class TestWriteResult:
         assert summary["n"] == 10
 
     def test_labels_row_per_item(self, tmp_path):
-        from fishdbc.engine import ClusterResult
+        from fishdbc import ClusterResult
         from fishdbc.hierarchy import CondensedTree
 
         result = ClusterResult(
@@ -182,8 +182,8 @@ class TestWriteResult:
         result = self.run_result(rng)
         dataio.write_result(result, tmp_path / "out")
         with open(tmp_path / "out" / "tree.json") as fh:
-            tree = hierarchy.tree_from_dict(json.load(fh))
-        assert tree.clusters == result.condensed.clusters
+            doc = json.load(fh)
+        assert doc == hierarchy.tree_to_dict(result.condensed)
 
     def test_summary_key_value_lines(self, tmp_path, rng):
         result = self.run_result(rng)
@@ -194,7 +194,7 @@ class TestWriteResult:
         assert int(entries["n"]) == 10
 
     def test_empty_result_rejected(self, tmp_path):
-        from fishdbc.engine import ClusterResult
+        from fishdbc import ClusterResult
         from fishdbc.hierarchy import CondensedTree
 
         empty = ClusterResult(
@@ -218,6 +218,25 @@ class TestDistanceLog:
         path = tmp_path / "bad.log"
         path.write_text("4\n0 1\n")
         with pytest.raises(ParseError, match="i j distance"):
+            dataio.read_distance_log(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1 5 0.2", "outside 0..2"),
+        ("-1 2 0.2", "outside 0..2"),
+        ("1 1 0.2", "itself"),
+        ("0 1 nan", "not >= 0"),
+        ("0 1 -0.5", "not >= 0"),
+    ])
+    def test_bad_pairs_rejected(self, tmp_path, row, message):
+        path = tmp_path / "bad.log"
+        path.write_text(f"3\n0 2 1.0\n{row}\n")
+        with pytest.raises(ParseError, match=f"bad.log:3: .*{message}"):
+            dataio.read_distance_log(path)
+
+    def test_negative_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.log"
+        path.write_text("-2\n")
+        with pytest.raises(ParseError, match="item count"):
             dataio.read_distance_log(path)
 
 

@@ -111,14 +111,12 @@ class TestAdd:
                 return float("nan")
             return distances.euclidean(a, b)
 
-        engine._distance = fragile
         engine._hnsw._distance = fragile
         with pytest.raises(DistanceError):
             engine.add(bad)
         assert engine.n == n_before
         assert engine.distance_calls == calls_before
         assert engine.candidate_count == cand_before
-        engine._distance = distances.euclidean
         engine._hnsw._distance = distances.euclidean
         assert engine.add(rng.random(2)) == n_before
 

@@ -11,7 +11,6 @@ from fishdbc.hierarchy import (
     build_dendrogram,
     condense,
     extract_flat,
-    tree_from_dict,
     tree_to_dict,
 )
 
@@ -148,10 +147,9 @@ class TestBuildDendrogram:
             [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], n
         )
         assert (np.diff(d.weight) >= 0).all()
+        sizes = [1] * n + d.size.tolist()
         for i in range(len(d)):
-            assert d.size[i] == d.node_size(int(d.left[i])) + d.node_size(
-                int(d.right[i])
-            )
+            assert d.size[i] == sizes[d.left[i]] + sizes[d.right[i]]
 
 
 def chain_edges(weights):
@@ -330,33 +328,33 @@ class TestExtractFlat:
         events = [(p, 1, 2.0) for p in range(5)]
         tree = CondensedTree(5, records, events, single_root=True)
         flat = extract_flat(tree)
-        assert flat.selected == [1]
+        assert flat.condensed.selected_ids() == [1]
         assert flat.labels.tolist() == [0] * 5
 
     def test_children_beat_weak_parent(self):
         tree = self.two_level_tree(1.0, (3.0, 4.0))
         flat = extract_flat(tree)
-        assert flat.selected == [2, 3]
+        assert flat.condensed.selected_ids() == [2, 3]
         assert set(flat.labels[:20]) == {0}
         assert set(flat.labels[20:]) == {1}
 
     def test_strong_parent_beats_children(self):
         tree = self.two_level_tree(9.0, (3.0, 4.0))
         flat = extract_flat(tree)
-        assert flat.selected == [1]
+        assert flat.condensed.selected_ids() == [1]
         assert set(flat.labels.tolist()) == {0}
 
     def test_tie_goes_to_children(self):
         tree = self.two_level_tree(7.0, (3.0, 4.0))
         flat = extract_flat(tree)
-        assert flat.selected == [2, 3]
+        assert flat.condensed.selected_ids() == [2, 3]
 
     def test_excluded_root_never_selected(self):
         records = [ClusterRecord(0, -1, 0.0, 1.0, 5, 100.0)]
         events = [(p, 0, 1.0) for p in range(5)]
         tree = CondensedTree(5, records, events, single_root=True)
         flat = extract_flat(tree)
-        assert flat.selected == []
+        assert flat.condensed.selected_ids() == []
         assert flat.labels.tolist() == [-1] * 5
 
     def test_component_roots_selectable_in_forest(self):
@@ -367,7 +365,7 @@ class TestExtractFlat:
         events = [(p, 0, 1.0) for p in range(5)] + [(p, 1, 1.0) for p in range(5, 10)]
         tree = CondensedTree(10, records, events, single_root=False)
         flat = extract_flat(tree)
-        assert flat.selected == [0, 1]
+        assert flat.condensed.selected_ids() == [0, 1]
         assert set(flat.labels[:5]) == {0} and set(flat.labels[5:]) == {1}
 
     def test_selected_clusters_not_nested(self, rng):
@@ -379,7 +377,7 @@ class TestExtractFlat:
         d = build_dendrogram(lo, hi, w, n)
         tree = condense(d, 5)
         flat = extract_flat(tree)
-        chosen = set(flat.selected)
+        chosen = set(flat.condensed.selected_ids())
         for cid in chosen:
             cur = tree.clusters[cid].parent
             while cur != -1:
@@ -410,11 +408,10 @@ class TestSerialization:
             weight = 0.0 if rng.random() < 0.2 else float(rng.random())
             lo.append(min(i, j)), hi.append(max(i, j)), w.append(weight)
         d = build_dendrogram(lo, hi, w, n)
-        tree = condense(d, 4)
+        # With m_cs = 2, weight-0 merges of two leaves shed both at an
+        # infinite lambda, which JSON must carry as Infinity.
+        tree = condense(d, 2)
         extract_flat(tree)
-        doc = json.loads(json.dumps(tree_to_dict(tree)))
-        back = tree_from_dict(doc)
-        assert back.n_points == tree.n_points
-        assert back.single_root == tree.single_root
-        assert back.clusters == tree.clusters
-        assert back.events == tree.events
+        doc = tree_to_dict(tree)
+        assert any(math.isinf(e["lambda"]) for e in doc["point_events"])
+        assert json.loads(json.dumps(doc)) == doc

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import cophenet, linkage
+from scipy.spatial.distance import squareform
 
 from conftest import canonical_labels
 from fishdbc import oracle
+from fishdbc.hierarchy import build_dendrogram
 
 INF = math.inf
 
@@ -138,7 +141,36 @@ class TestExactCluster:
         )
 
 
+def cophenetic(dend):
+    """Condensed cophenetic distances of a single-tree dendrogram: the merge
+    height at which each pair i < j first shares a component."""
+    n = dend.n_points
+    members = [[i] for i in range(n)]
+    out = np.zeros((n, n))
+    for l, r, w in zip(dend.left.tolist(), dend.right.tolist(), dend.weight.tolist()):
+        a, b = members[l], members[r]
+        out[np.ix_(a, b)] = w
+        out[np.ix_(b, a)] = w
+        members.append(a + b)
+    return squareform(out, checks=False)
+
+
 class TestExternalCrossValidation:
+    def test_single_linkage_matches_scipy_cophenetic(self):
+        # scipy's single linkage on the full mutual-reachability matrix is an
+        # independent route to build_dendrogram over exact_msf. Cophenetic
+        # distances do not depend on how tied weights are broken, merge
+        # sizes do; mutual reachability ties often (shared core distances).
+        for trial in range(50):
+            rng = np.random.default_rng(trial)
+            n = int(rng.integers(5, 61))
+            minpts = int(rng.integers(2, min(5, n - 1) + 1))
+            m = pairwise_euclidean(rng.random((n, int(rng.integers(1, 6)))))
+            mr = oracle.mutual_reachability(m, oracle.exact_core_distances(m, minpts))
+            theirs = cophenet(linkage(squareform(mr, checks=False), "single"))
+            ours = cophenetic(build_dendrogram(*oracle.exact_msf(m, minpts), n))
+            assert np.array_equal(ours, theirs), f"trial {trial}"
+
     def test_close_agreement_with_sklearn(self):
         # Independent end-to-end route. Ties in mutual reachability admit
         # several valid outputs, so boundary points may flip; demand equal
