@@ -34,29 +34,26 @@ def kruskal_mask(lo, hi, n):
 
 
 def linkage_merges(lo, hi, n):
-    """Single-linkage merge rows from an acyclic edge list sorted ascending.
+    """Single-linkage merge rows (left, right, size) from an acyclic edge
+    list sorted ascending; raises ValueError on a cycle.
 
-    Returns (left, right, size, count); count == -1 signals a cycle.
     Internal dendrogram nodes are numbered n, n+1, ... in merge order.
     """
     parent = list(range(n))
     node = list(range(n))
     comp_size = [1] * n
     left, right, size = [], [], []
-    count = 0
     for a, b in zip(lo.tolist(), hi.tolist()):
         a = _find(parent, a)
         b = _find(parent, b)
         if a == b:
-            count = -1
-            break
+            raise ValueError("cyclic input: edge list is not a forest")
         left.append(node[a])
         right.append(node[b])
         merged = comp_size[a] + comp_size[b]
         size.append(merged)
         parent[b] = a
-        node[a] = n + count
+        node[a] = n + len(size) - 1
         comp_size[a] = merged
-        count += 1
     left, right, size = (np.array(v, dtype=np.int64) for v in (left, right, size))
-    return left, right, size, count
+    return left, right, size

@@ -254,7 +254,7 @@ def cmd_oracle(args):
         n, pairs = dataio.read_distance_log(args.mask_from)
         matrix = oracle.matrix_from_pairs(n, pairs)
     elif args.matrix:
-        matrix = oracle.read_matrix(args.matrix)
+        matrix = dataio.read_matrix(args.matrix)
     else:
         if not args.format or not args.distance:
             raise ValueError("--input requires --format and --distance")

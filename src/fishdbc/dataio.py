@@ -26,6 +26,7 @@ __all__ = [
     "write_result",
     "read_distance_log",
     "write_distance_log",
+    "read_matrix",
     "generate_blobs",
     "generate_transactions",
 ]
@@ -267,6 +268,39 @@ def read_distance_log(path):
             raise ParseError(f"{path}:{lineno}: distance {d} is not >= 0")
         pairs[(i, j)] = d
     return n, pairs
+
+
+def read_matrix(path):
+    """Distance matrix file: first token is n, followed by the n(n-1)/2
+    upper-triangle entries row-major; ``inf`` allowed.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = fh.read().split()
+    try:
+        n = int(tokens[0])
+    except (IndexError, ValueError):
+        raise ParseError(f"{path}: expected the item count as the first token") from None
+    if n < 0:
+        raise ParseError(f"{path}: item count must be >= 0 (got {n})")
+    try:
+        values = np.array([float(tok) for tok in tokens[1:]], dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    expected = n * (n - 1) // 2
+    if len(values) != expected:
+        raise ParseError(
+            f"{path}: expected {expected} upper-triangle entries for n={n}, "
+            f"got {len(values)}"
+        )
+    bad = np.flatnonzero(~(values >= 0.0))  # catches NaN and negatives
+    if len(bad):
+        k = int(bad[0])
+        raise ParseError(f"{path}: entry {k + 1} is {values[k]}, not >= 0")
+    m = np.zeros((n, n))
+    lo, hi = np.triu_indices(n, k=1)
+    m[lo, hi] = values
+    m[hi, lo] = values
+    return m
 
 
 def generate_blobs(n_samples, dim, centers=10, std=1.0, center_box=(-10.0, 10.0), rng=None):

@@ -110,16 +110,8 @@ def build_dendrogram(lo, hi, weight, n):
         raise ValueError("dendrogram input must not contain infinite weights")
     order = np.lexsort((hi, lo, weight))
     lo, hi, weight = lo[order], hi[order], weight[order]
-    left, right, size, count = _accel.linkage_merges(lo, hi, n)
-    if count < 0:
-        raise ValueError("cyclic input: edge list is not a forest")
-    return Dendrogram(
-        n_points=n,
-        left=left[:count],
-        right=right[:count],
-        weight=weight[:count],
-        size=size[:count],
-    )
+    left, right, size = _accel.linkage_merges(lo, hi, n)
+    return Dendrogram(n_points=n, left=left, right=right, weight=weight, size=size)
 
 
 def condense(dend, m_cs):

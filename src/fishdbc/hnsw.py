@@ -5,6 +5,13 @@ layered neighborhood graph and report every distance evaluated while doing so
 as (a, b, d(a, b)) triples for the clustering side to consume. All distance
 calls happen before any graph mutation, so a failing distance function leaves
 the index untouched.
+
+One best-first search serves every layer, as in Malkov & Yashunin's
+insertion algorithm: with a beam of 1 above the new item's level, where it
+only finds the entry point for the next layer down, and with the
+construction width ``ef`` at and below that level, where its result is
+pruned by the selection heuristic into the item's links. Each search
+evaluates a node at most once per layer.
 """
 
 import heapq
@@ -65,15 +72,8 @@ class Hnsw:
 
     # Every inserted node is in layer 0; there are no layers before the
     # first insert.
-    def __len__(self):
-        return len(self._layers[0]) if self._layers else 0
-
     def __contains__(self, x):
         return bool(self._layers) and x in self._layers[0]
-
-    @property
-    def layer_count(self):
-        return len(self._layers)
 
     def assign_level(self):
         u = 1.0 - self._rng.random()  # in (0, 1]
@@ -120,16 +120,14 @@ class Hnsw:
         staged = []
         if self._entry is None:
             return staged
-        ep = self._entry
-        ep_dist = rec(x, ep)
-        top = len(self._layers) - 1
-        for lc in range(top, level, -1):
-            ep, ep_dist = self._greedy_search(x, ep, ep_dist, self._layers[lc], rec)
-        entry_points = [(-ep_dist, ep)]
-        for lc in range(min(level, top), -1, -1):
+        entry_points = [(-rec(x, self._entry), self._entry)]
+        for lc in range(len(self._layers) - 1, -1, -1):
             layer = self._layers[lc]
+            ef = 1 if lc > level else self._ef
+            entry_points = self._beam_search(x, entry_points, layer, ef, rec)
+            if lc > level:
+                continue  # above x's level: only the entry for the layer below
             cap = self._m0 if lc == 0 else self._m
-            entry_points = self._beam_search(x, entry_points, layer, self._ef, rec)
             candidates = sorted((-nd, node) for nd, node in entry_points)
             selected = self._select_heuristic(candidates, cap, rec)
             x_adj = {node: d for d, node in selected}
@@ -154,18 +152,6 @@ class Hnsw:
                             removals.append((node, old))
             staged.append((lc, x_adj, backlinks, removals))
         return staged
-
-    def _greedy_search(self, x, start, start_dist, layer, rec):
-        best, best_dist = start, start_dist
-        improved = True
-        while improved:
-            improved = False
-            for nbr in layer[best]:
-                d = rec(x, nbr)
-                if d < best_dist:
-                    best, best_dist = nbr, d
-                    improved = True
-        return best, best_dist
 
     def _beam_search(self, x, entry_points, layer, ef, rec):
         """Best-first search keeping the ef closest nodes found.

@@ -20,8 +20,6 @@ __all__ = [
     "exact_msf",
     "exact_cluster",
     "matrix_from_pairs",
-    "read_matrix",
-    "write_matrix",
 ]
 
 MAX_N = 5000
@@ -35,6 +33,8 @@ def _validated(matrix):
         raise ValueError(f"matrix too large: n={m.shape[0]} exceeds cap {MAX_N}")
     if np.isnan(m).any():
         raise ValueError("distance matrix must not contain NaN")
+    if (m < 0.0).any():
+        raise ValueError("distance matrix entries must be >= 0")
     if (m.diagonal() != 0.0).any():
         raise ValueError("distance matrix diagonal must be zero")
     if not np.array_equal(m, m.T):
@@ -113,40 +113,3 @@ def matrix_from_pairs(n, pairs):
         m[i, j] = d
         m[j, i] = d
     return m
-
-
-def read_matrix(path):
-    """Text format: first token is n, followed by the n(n-1)/2 upper-triangle
-    entries row-major; ``inf`` allowed.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty matrix file")
-    n = int(tokens[0])
-    expected = n * (n - 1) // 2
-    values = tokens[1:]
-    if len(values) != expected:
-        raise ValueError(
-            f"{path}: expected {expected} upper-triangle entries for n={n}, "
-            f"got {len(values)}"
-        )
-    m = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = float(values[k])
-            m[i, j] = v
-            m[j, i] = v
-            k += 1
-    return m
-
-
-def write_matrix(path, matrix):
-    m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n}\n")
-        for i in range(n):
-            if i + 1 < n:
-                fh.write(" ".join(repr(float(v)) for v in m[i, i + 1 :]) + "\n")

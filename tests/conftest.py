@@ -30,3 +30,13 @@ def two_blob_points(rng, per_blob=100, sep=10.0, std=0.05):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def write_matrix(path, matrix):
+    """Write a distance matrix in the format ``dataio.read_matrix`` reads."""
+    m = np.asarray(matrix, dtype=np.float64)
+    n = m.shape[0]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n}\n")
+        for i in range(n - 1):
+            fh.write(" ".join(repr(float(v)) for v in m[i, i + 1 :]) + "\n")

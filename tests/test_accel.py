@@ -69,5 +69,5 @@ class TestLinkageKernel:
     def test_cycle_flagged(self):
         lo = np.array([0, 1, 0], dtype=np.int64)
         hi = np.array([1, 2, 2], dtype=np.int64)
-        *_, count = _accel.linkage_merges(lo, hi, 3)
-        assert count == -1
+        with pytest.raises(ValueError, match="cyclic"):
+            _accel.linkage_merges(lo, hi, 3)

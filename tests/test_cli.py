@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import canonical_labels
+from conftest import canonical_labels, write_matrix
 from fishdbc import dataio
 from fishdbc.cli import _make_engine, build_parser, main
 
@@ -239,6 +239,21 @@ class TestDataErrors:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x\n1.0 2.0 1.0\n", "-2\n", "3\n1.0 x 1.0\n", "3\n1.0\n", "3\n-1.0 2.0 1.0\n"],
+        ids=["bad-count", "negative-count", "bad-entry", "entry-count", "negative-entry"],
+    )
+    def test_bad_matrix_exit_2(self, tmp_path, capsys, text):
+        mfile = tmp_path / "m.txt"
+        mfile.write_text(text)
+        code = main([
+            "oracle", "--matrix", str(mfile), "--minpts", "2",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"error: {mfile}: " in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_perfect_predictions(self, tmp_path, capsys):
@@ -293,15 +308,13 @@ class TestEvalCommand:
 
 class TestOracleCommand:
     def test_matrix_two_blobs(self, tmp_path, capsys):
-        from fishdbc import oracle as om
-
         rng = np.random.default_rng(0)
         a = rng.normal(0, 0.05, (30, 2))
         b = rng.normal(0, 0.05, (30, 2)) + 10
         pts = np.vstack([a, b])
         matrix = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
         mfile = tmp_path / "m.txt"
-        om.write_matrix(mfile, matrix)
+        write_matrix(mfile, matrix)
         out = tmp_path / "o"
         code = main([
             "oracle", "--matrix", str(mfile), "--minpts", "5",

@@ -65,8 +65,8 @@ class TestSetup:
         for _ in range(25):
             engine.add(rng.random(2))
         assert len(engine._items) == 25
-        assert len(engine._hnsw) == 25
-        assert len(engine._neighbors) == 25
+        assert len(engine._hnsw._layers[0]) == 25
+        assert len(engine._neighbors._heaps) == 25
 
     def test_positional_and_removed_knobs_rejected(self):
         # Knobs are keyword-only, and the HNSW ones follow from minpts.

@@ -71,7 +71,7 @@ class TestInsert:
         idx = make_index(items, seed=3)
         for i in range(300):
             idx.insert(i)
-        for level in range(1, idx.layer_count):
+        for level in range(1, len(idx._layers)):
             upper = set(idx._layers[level])
             lower = set(idx._layers[level - 1])
             assert upper <= lower
@@ -88,6 +88,21 @@ class TestInsert:
                 assert len(adj) <= cap
                 for nbr in adj:
                     assert node in layer[nbr]
+
+
+class TestDescent:
+    def test_upper_layers_evaluate_each_node_once(self):
+        # Chain 0-1-2 on two layers, entered at 0. The ef=1 descent over
+        # layer 1 moves 0 -> 1 -> 2 and never re-evaluates a node it has
+        # left: 3 calls there, then 2 more on layer 0 for 1 and 0.
+        items = [np.array([v]) for v in (0.0, 1.0, 2.0, 2.1)]
+        idx = make_index(items, level_mult=0.0)
+        chain = {0: {1: 1.0}, 1: {0: 1.0, 2: 1.0}, 2: {1: 1.0}}
+        idx._layers = [{node: dict(adj) for node, adj in chain.items()} for _ in range(2)]
+        idx._entry = 0
+        triples, raw = idx.insert(3)
+        assert sorted((a, b) for a, b, _ in triples) == [(0, 3), (1, 3), (2, 3)]
+        assert raw == 5
 
 
 class TestDistanceTap:

@@ -5,8 +5,8 @@ import pytest
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
-from conftest import canonical_labels
-from fishdbc import oracle
+from conftest import canonical_labels, write_matrix
+from fishdbc import dataio, oracle
 from fishdbc.hierarchy import build_dendrogram
 
 INF = math.inf
@@ -71,6 +71,11 @@ class TestMutualReachability:
 
 
 class TestValidation:
+    def test_rejects_negative_entries(self):
+        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match=">= 0"):
+            oracle.exact_cluster(m, 2)
+
     def test_rejects_nan(self):
         m = np.zeros((2, 2))
         m[0, 1] = m[1, 0] = float("nan")
@@ -208,22 +213,40 @@ class TestMatrixIO:
         m = pairwise_euclidean(points)
         m[3, 7] = m[7, 3] = INF
         path = tmp_path / "matrix.txt"
-        oracle.write_matrix(path, m)
-        back = oracle.read_matrix(path)
+        write_matrix(path, m)
+        back = dataio.read_matrix(path)
         assert np.array_equal(back, m)
 
     def test_inf_token(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("3\n1.0 inf\n2.0\n")
-        m = oracle.read_matrix(path)
+        m = dataio.read_matrix(path)
         assert m[0, 2] == INF and m[2, 0] == INF
         assert m[0, 1] == 1.0 and m[1, 2] == 2.0
 
     def test_wrong_entry_count(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("3\n1.0\n")
-        with pytest.raises(ValueError, match="expected 3"):
-            oracle.read_matrix(path)
+        with pytest.raises(dataio.ParseError, match="m.txt: expected 3"):
+            dataio.read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x\n1.0 2.0 1.0\n", "item count"),
+            ("", "item count"),
+            ("-2\n", "item count must be >= 0"),
+            ("3\n1.0 x 1.0\n", "could not convert"),
+            ("3\n-1.0 2.0 1.0\n", "entry 1 is -1.0, not >= 0"),
+            ("3\n1.0 nan 1.0\n", "entry 2 is nan, not >= 0"),
+        ],
+        ids=["bad-count", "empty", "negative-count", "bad-entry", "negative-entry", "nan-entry"],
+    )
+    def test_bad_file_names_itself(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(dataio.ParseError, match=f"m.txt: .*{message}"):
+            dataio.read_matrix(path)
 
 
 class TestMatrixFromPairs:

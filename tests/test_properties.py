@@ -1,0 +1,95 @@
+"""Property tests over small random inputs and insertion orders.
+
+The engine's promises hold for every input, not just the seeded fixtures:
+its forest is the exact minimum spanning forest of the pairs it computed,
+its heaps hold the exact core distances of those pairs, and a failing
+distance function leaves no trace on later results.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fishdbc import FISHDBC, distances, oracle
+from fishdbc.distances import DistanceError
+
+# Integer grid coordinates make exact duplicates and distance ties common.
+points = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=60
+)
+minpts_values = st.sampled_from([2, 3, 5])
+seeds = st.integers(0, 2**16)
+
+property_settings = settings(deadline=None)
+
+
+def build(coords, minpts, seed):
+    engine = FISHDBC(distances.euclidean, minpts=minpts, rng_seed=seed, record_pairs=True)
+    for c in coords:
+        engine.add(np.array(c, dtype=np.float64))
+    return engine
+
+
+def forest(engine):
+    return sorted((w, lo, hi) for lo, hi, w in engine.forest_edges())
+
+
+@property_settings
+@given(points, minpts_values, seeds)
+def test_forest_is_exact_msf_of_computed_pairs(coords, minpts, seed):
+    engine = build(coords, minpts, seed)
+    engine.flush()
+    masked = oracle.matrix_from_pairs(engine.n, engine.pair_log())
+    lo, hi, w = oracle.exact_msf(masked, minpts)
+    assert forest(engine) == sorted(zip(w.tolist(), lo.tolist(), hi.tolist()))
+
+
+@property_settings
+@given(points, minpts_values, seeds)
+def test_heap_cores_are_exact_cores_of_computed_pairs(coords, minpts, seed):
+    engine = build(coords, minpts, seed)
+    masked = oracle.matrix_from_pairs(engine.n, engine.pair_log())
+    want = oracle.exact_core_distances(masked, minpts)
+    got = [engine._neighbors.core_distance(i) for i in range(engine.n)]
+    assert got == want.tolist()
+
+
+@property_settings
+@given(points, minpts_values, seeds, st.data())
+def test_failed_add_leaves_later_results_unchanged(coords, minpts, seed, data):
+    reference = FISHDBC(distances.euclidean, minpts=minpts, rng_seed=seed, record_pairs=True)
+    calls_per_add = []  # to aim the failure inside one add()
+    for c in coords:
+        before = reference.distance_calls
+        reference.add(np.array(c, dtype=np.float64))
+        calls_per_add.append(reference.distance_calls - before)
+    victim = data.draw(st.integers(1, len(coords) - 1), label="failing add")
+    fail_at = data.draw(st.integers(1, calls_per_add[victim]), label="failing call")
+    failure = data.draw(st.sampled_from(["nan", "raise"]), label="failure")
+
+    countdown = [None]  # calls left up to and including the failing one
+
+    def flaky(a, b):
+        if countdown[0] is not None:
+            countdown[0] -= 1
+            if countdown[0] == 0:
+                countdown[0] = None
+                if failure == "raise":
+                    raise RuntimeError("distance backend down")
+                return math.nan
+        return distances.euclidean(a, b)
+
+    engine = FISHDBC(flaky, minpts=minpts, rng_seed=seed, record_pairs=True)
+    for i, c in enumerate(coords):
+        if i == victim:
+            countdown[0] = fail_at
+            with pytest.raises((DistanceError, RuntimeError)):
+                engine.add(np.array(c, dtype=np.float64))
+        engine.add(np.array(c, dtype=np.float64))
+
+    assert engine.distance_calls == reference.distance_calls
+    assert engine.pair_log() == reference.pair_log()
+    assert engine.cluster().labels.tolist() == reference.cluster().labels.tolist()
+    assert forest(engine) == forest(reference)
