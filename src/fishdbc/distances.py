@@ -1,7 +1,8 @@
 """Built-in distance functions.
 
-Every distance is symmetric, returns a finite float >= 0 and evaluates to 0
-on identical inputs. No triangle inequality is assumed anywhere, so arbitrary
+Every distance is symmetric bit for bit, returns a finite float >= 0 and
+evaluates to 0 on identical inputs. The engine relies on the symmetry: it
+reuses d(a, b) where it would otherwise compute d(b, a). No triangle inequality is assumed anywhere, so arbitrary
 user-supplied functions with the same contract are accepted by the engine.
 """
 
@@ -47,12 +48,14 @@ def cosine(a, b):
     if isinstance(a, dict) or isinstance(b, dict):
         if not isinstance(a, dict) or not isinstance(b, dict):
             raise ValueError("cannot mix sparse and dense vectors")
-        daa = sum(v * v for v in a.values())
-        dbb = sum(v * v for v in b.values())
+        # fsum is correctly rounded, so the result does not depend on the
+        # order the terms come in: swapping a and b gives the same bits.
+        daa = math.fsum(v * v for v in a.values())
+        dbb = math.fsum(v * v for v in b.values())
         if daa == 0.0 or dbb == 0.0:
             raise ValueError("cosine distance undefined for zero-norm vector")
         small, big = (a, b) if len(a) <= len(b) else (b, a)
-        dot = sum(v * big[k] for k, v in small.items() if k in big)
+        dot = math.fsum(v * big[k] for k, v in small.items() if k in big)
     else:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)

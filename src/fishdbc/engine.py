@@ -32,8 +32,10 @@ __all__ = ["FISHDBC"]
 class FISHDBC:
     """Incremental clustering engine over arbitrary payloads.
 
-    ``distance`` is any symmetric non-negative function of two payloads;
-    no triangle inequality is assumed. Single writer: ``add``, ``flush`` and
+    ``distance`` is any symmetric, deterministic, non-negative function of
+    two payloads; no triangle inequality is assumed. A distance already
+    known, possibly computed with the arguments swapped, is reused instead
+    of computed again. Single writer: ``add``, ``flush`` and
     ``cluster`` must not run concurrently.
     """
 
@@ -55,6 +57,7 @@ class FISHDBC:
         self._rng = np.random.default_rng(rng_seed)
         # The HNSW paper's recommended settings (Malkov & Yashunin):
         # M = minpts, M_max0 = 2M and level multiplier m_L = 1 / ln M.
+        # The HNSW reads distances the heaps hold instead of recomputing them.
         self._hnsw = Hnsw(
             distance,
             self._items,
@@ -63,6 +66,7 @@ class FISHDBC:
             ef=ef,
             level_mult=1.0 / math.log(minpts),
             rng=self._rng,
+            heap_dists=self._neighbors.dists,
         )
         self._buf = CandidateBuffer()
         self._msf = Msf()

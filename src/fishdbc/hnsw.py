@@ -10,8 +10,15 @@ One best-first search serves every layer, as in Malkov & Yashunin's
 insertion algorithm: with a beam of 1 above the new item's level, where it
 only finds the entry point for the next layer down, and with the
 construction width ``ef`` at and below that level, where its result is
-pruned by the selection heuristic into the item's links. Each search
-evaluates a node at most once per layer.
+pruned by the selection heuristic into the item's links.
+
+No distance is paid for twice. Within one insertion each unordered pair
+reaches the distance function at most once; a repeat returns the stored
+value, which relies on the distance being symmetric and deterministic. The
+selection heuristic also compares pairs of existing items, and takes their
+distance from the layer-0 links or from the caller's neighbor heaps when
+either holds it: those values came from earlier insertions' triples, so the
+pair is neither evaluated nor reported again.
 """
 
 import heapq
@@ -22,32 +29,43 @@ from .distances import DistanceError
 __all__ = ["Hnsw"]
 
 
-class _Recorder:
-    """Wraps the distance function; taps, validates and deduplicates calls."""
+# Stands in for a missing adjacency or heap mirror; never written.
+_EMPTY = {}
 
-    __slots__ = ("fn", "items", "raw", "best")
+
+class _Recorder:
+    """Wraps the distance function for one insertion; memoizes, validates
+    and taps calls.
+
+    A pair already evaluated in this insertion is answered from the memo,
+    so ``raw`` is the number of real calls to ``fn`` and each evaluated
+    pair yields exactly one triple.
+    """
+
+    __slots__ = ("fn", "items", "raw", "memo")
 
     def __init__(self, fn, items):
         self.fn = fn
         self.items = items
         self.raw = 0
-        self.best = {}
+        self.memo = {}
 
     def __call__(self, a, b):
+        key = (a, b) if a < b else (b, a)
+        v = self.memo.get(key)
+        if v is not None:
+            return v
         v = float(self.fn(self.items[a], self.items[b]))
         if not v >= 0.0:  # catches NaN and negatives
             raise DistanceError(f"distance({a}, {b}) returned {v}")
         if math.isinf(v):
             raise DistanceError(f"distance({a}, {b}) returned a non-finite value")
         self.raw += 1
-        key = (a, b) if a < b else (b, a)
-        cur = self.best.get(key)
-        if cur is None or v < cur:
-            self.best[key] = v
+        self.memo[key] = v
         return v
 
     def finish(self):
-        triples = [(a, b, v) for (a, b), v in self.best.items()]
+        triples = [(a, b, v) for (a, b), v in self.memo.items()]
         return triples, self.raw
 
 
@@ -57,10 +75,14 @@ class Hnsw:
     ``items`` is a shared sequence of payloads owned by the caller; the id of
     an item is its index in that sequence. ``m`` is the per-layer degree
     target (``m0`` applies to layer 0) and ``ef`` the construction beam width.
+    ``heap_dists`` is the caller's ``{item: {neighbor: distance}}`` map of
+    distances it already holds, read but never written here; every value in
+    it must have come from a triple this index returned.
     """
 
-    def __init__(self, distance, items, m, m0, ef, level_mult, rng):
+    def __init__(self, distance, items, m, m0, ef, level_mult, rng, heap_dists=None):
         self._distance = distance
+        self._heap_dists = {} if heap_dists is None else heap_dists
         self._items = items
         self._m = m
         self._m0 = m0
@@ -82,10 +104,11 @@ class Hnsw:
     def insert(self, x):
         """Link item x into the graph.
 
-        Returns ``(triples, raw_calls)``: the deduplicated list of
-        (a, b, distance) triples covering every distance evaluation performed
-        (duplicates within the insertion keep the minimum value), and the raw
-        number of calls before deduplication.
+        Returns ``(triples, raw_calls)``: one (a, b, distance) triple, a < b,
+        per pair the insertion evaluated, and the number of calls made to
+        the distance function, which equals the number of triples. Pairs
+        whose distance was read from the layer-0 links or ``heap_dists``
+        are neither evaluated nor reported.
         """
         if x in self:
             raise ValueError(f"item {x} already inserted")
@@ -186,17 +209,30 @@ class Hnsw:
         than to any already-kept neighbor.
 
         ``candidates`` must be sorted ascending (dist-to-base, node); the
-        kept subset (same representation) is returned.
+        kept subset (same representation) is returned. A candidate-to-kept
+        distance the layer-0 links or the neighbor heaps hold is read, not
+        evaluated.
         """
         if len(candidates) <= cap:
             return list(candidates)
+        layer0 = self._layers[0]
+        heaps = self._heap_dists
         kept = []
         for d_c, c in candidates:
             if len(kept) >= cap:
                 break
+            adj_c = layer0.get(c, _EMPTY)
+            heap_c = heaps.get(c, _EMPTY)
             good = True
             for _, k in kept:
-                if rec(c, k) < d_c:
+                d = adj_c.get(k)
+                if d is None:
+                    d = heap_c.get(k)
+                if d is None:
+                    d = heaps.get(k, _EMPTY).get(c)
+                if d is None:
+                    d = rec(c, k)
+                if d < d_c:
                     good = False
                     break
             if good:

@@ -19,21 +19,16 @@ class NeighborStore:
             raise ValueError(f"minpts must be >= 2 (got {minpts})")
         self.minpts = minpts
         # Per item: a heap of (-distance, neighbor) plus a mirror dict
-        # neighbor -> distance for O(1) duplicate checks.
+        # neighbor -> distance for O(1) duplicate checks. Others may read
+        # ``dists`` (the HNSW reuses its distances) but never write it.
         self._heaps = {}
-        self._dists = {}
-
-    def __len__(self):
-        return len(self._heaps)
-
-    def __contains__(self, x):
-        return x in self._heaps
+        self.dists = {}
 
     def register(self, x):
         if x in self._heaps:
             raise ValueError(f"item {x} already registered")
         self._heaps[x] = []
-        self._dists[x] = {}
+        self.dists[x] = {}
 
     def observe(self, x, y, v):
         """Record that d(x, y) = v, updating x's heap only.
@@ -46,7 +41,7 @@ class NeighborStore:
         if x == y:
             raise ValueError("an item cannot be its own neighbor")
         heap = self._heaps[x]
-        dists = self._dists[x]
+        dists = self.dists[x]
         old = dists.get(y)
         if old is not None:
             if v >= old:

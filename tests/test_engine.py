@@ -324,6 +324,44 @@ class TestStateSizeInvariant:
         assert seen
 
 
+def unordered(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+class TestDistanceReuse:
+    def test_known_pairs_never_reach_distance(self, rng):
+        # Payloads carry their id so the log can name the pair evaluated.
+        points = rng.random((300, 3))
+        evaluated = []
+
+        def logged(a, b):
+            evaluated.append(unordered(a[0], b[0]))
+            return distances.euclidean(a[1], b[1])
+
+        engine = FISHDBC(logged, minpts=5, rng_seed=4)
+        for i, p in enumerate(points):
+            known = set()
+            for layer0 in engine._hnsw._layers[:1]:
+                for x, adj in layer0.items():
+                    known.update(unordered(x, y) for y in adj)
+            for x, dists in engine._neighbors.dists.items():
+                known.update(unordered(x, y) for y in dists)
+            evaluated.clear()
+            engine.add((i, p))
+            assert len(set(evaluated)) == len(evaluated)
+            assert not known.intersection(evaluated)
+
+    def test_duplicates_stay_below_brute_force(self):
+        # 5 distinct points, 200 copies each: distance ties everywhere.
+        rng = np.random.default_rng(5)
+        data = np.repeat(rng.random((5, 4)), 200, axis=0)[rng.permutation(1000)]
+        engine = FISHDBC(distances.euclidean, minpts=10, ef=20, rng_seed=5)
+        for p in data:
+            engine.add(p)
+        n = engine.n
+        assert engine.distance_calls / n < (n - 1) / 2
+
+
 def test_no_heavy_runtime_imports():
     """Adding and clustering in a fresh interpreter imports no third-party
     package besides numpy: scipy's import alone costs about 0.35 s and 33 MB.

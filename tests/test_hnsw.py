@@ -91,10 +91,11 @@ class TestInsert:
 
 
 class TestDescent:
-    def test_upper_layers_evaluate_each_node_once(self):
+    def test_each_node_evaluated_once_per_insertion(self):
         # Chain 0-1-2 on two layers, entered at 0. The ef=1 descent over
         # layer 1 moves 0 -> 1 -> 2 and never re-evaluates a node it has
-        # left: 3 calls there, then 2 more on layer 0 for 1 and 0.
+        # left: 3 calls there. The search on layer 0 meets 1 and 0 again and
+        # answers them from the insertion's memo: no more calls.
         items = [np.array([v]) for v in (0.0, 1.0, 2.0, 2.1)]
         idx = make_index(items, level_mult=0.0)
         chain = {0: {1: 1.0}, 1: {0: 1.0, 2: 1.0}, 2: {1: 1.0}}
@@ -102,7 +103,7 @@ class TestDescent:
         idx._entry = 0
         triples, raw = idx.insert(3)
         assert sorted((a, b) for a, b, _ in triples) == [(0, 3), (1, 3), (2, 3)]
-        assert raw == 5
+        assert raw == 3
 
 
 class TestDistanceTap:
@@ -121,27 +122,25 @@ class TestDistanceTap:
             total_raw += raw
         assert calls[0] == total_raw
 
-    def test_triples_deduplicated_to_minimum(self, rng):
+    def test_each_pair_evaluated_once_per_insertion(self, rng):
+        # Payloads carry their id so the log can name the pair evaluated.
         raw_log = []
 
         def logging_distance(a, b):
-            d = euclidean(a, b)
-            raw_log.append(d)
-            return d
+            raw_log.append((a[0], b[0]) if a[0] < b[0] else (b[0], a[0]))
+            return euclidean(a[1], b[1])
 
-        items = [rng.random(2) for _ in range(120)]
+        items = [(i, rng.random(2)) for i in range(120)]
         idx = make_index(items, distance=logging_distance, seed=6)
         for i in range(120):
             raw_log.clear()
             triples, raw = idx.insert(i)
             assert len(raw_log) == raw
-            assert len(triples) <= raw
-            seen = {}
+            assert len(set(raw_log)) == len(raw_log)
+            assert sorted((a, b) for a, b, _ in triples) == sorted(raw_log)
             for a, b, v in triples:
                 assert a < b
-                assert (a, b) not in seen
-                seen[(a, b)] = v
-                assert v == euclidean(items[a], items[b])
+                assert v == euclidean(items[a][1], items[b][1])
 
     def test_triple_values_match_distance(self, rng):
         items = [rng.random(3) for _ in range(80)]

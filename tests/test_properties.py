@@ -3,7 +3,8 @@
 The engine's promises hold for every input, not just the seeded fixtures:
 its forest is the exact minimum spanning forest of the pairs it computed,
 its heaps hold the exact core distances of those pairs, and a failing
-distance function leaves no trace on later results.
+distance function leaves no trace on later results. Every built-in distance
+is symmetric bit for bit, which reusing a known distance relies on.
 """
 
 import math
@@ -93,3 +94,50 @@ def test_failed_add_leaves_later_results_unchanged(coords, minpts, seed, data):
     assert engine.pair_log() == reference.pair_log()
     assert engine.cluster().labels.tolist() == reference.cluster().labels.tolist()
     assert forest(engine) == forest(reference)
+
+
+def same_length_pair(elements, max_size=12):
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.tuples(*[st.lists(elements, min_size=n, max_size=n)] * 2)
+    )
+
+
+def arrays(pair, dtype=np.float64):
+    return tuple(np.array(v, dtype=dtype) for v in pair)
+
+
+# Non-zero magnitudes away from underflow, so cosine and simpson are defined.
+nonzero = st.floats(0.01, 100.0) | st.floats(-100.0, -0.01)
+
+
+def opposite_orders(values):
+    # Same keys inserted in opposite orders: which argument's items are
+    # iterated then decides the order of a sparse dot product's terms.
+    a = {i: x for i, (x, _) in enumerate(values)}
+    b = {i: y for i, (_, y) in reversed(list(enumerate(values)))}
+    return a, b
+
+
+text = st.text(alphabet="abcd", max_size=14)
+payload_pairs = {
+    "euclidean": same_length_pair(st.floats(-1e6, 1e6)).map(arrays),
+    "cosine": same_length_pair(nonzero).map(arrays)
+    | st.lists(st.tuples(nonzero, nonzero), min_size=1, max_size=8).map(opposite_orders),
+    "jaccard": st.tuples(*[st.frozensets(st.integers(0, 20), max_size=10)] * 2),
+    "jaro-winkler": st.tuples(text, text),
+    "simpson": same_length_pair(st.booleans(), max_size=16)
+    .filter(lambda p: any(p[0]) and any(p[1]))
+    .map(lambda p: arrays(p, bool)),
+    "hamming": same_length_pair(st.sampled_from("abc")).map(
+        lambda p: ("".join(p[0]), "".join(p[1]))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(distances.BUILTIN))
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_builtin_distances_symmetric_bit_for_bit(name, data):
+    a, b = data.draw(payload_pairs[name], label="payloads")
+    fn = distances.BUILTIN[name]
+    assert fn(a, b).hex() == fn(b, a).hex()
