@@ -7,12 +7,15 @@ user-supplied functions with the same contract are accepted by the engine.
 """
 
 import math
+import sys
 
 import numpy as np
 
 __all__ = [
     "DistanceError",
     "euclidean",
+    "euclidean_many",
+    "MANY",
     "cosine",
     "jaccard",
     "jaro_winkler",
@@ -36,36 +39,79 @@ def euclidean(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    return float(np.sqrt(np.dot(d, d)))
+    return math.sqrt(np.dot(d, d))
+
+
+def euclidean_many(a, bs):
+    """``[euclidean(a, b) for b in bs]``, bit for bit, in one numpy pass.
+
+    Each row goes through the same ``dot`` kernel as the scalar form (a
+    stacked 1 x dim by dim x 1 ``matmul`` calls it per row), and ``b - a``
+    is exactly ``-(a - b)``, so every value equals the scalar one. Returns
+    None when the payloads do not form one (len(bs), dim) matrix matching
+    ``a``; the caller then takes the scalar path, which raises the scalar
+    function's errors, such as a dimension mismatch.
+    """
+    try:
+        a = np.asarray(a, dtype=np.float64)
+        rows = np.array(bs, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.ndim != 1 or rows.shape != (len(bs), a.shape[0]):
+        return None
+    rows -= a
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel()).tolist()
+
+
+def _normal(v):
+    return sys.float_info.min <= v <= sys.float_info.max
+
+
+def _cosine_terms(a, b):
+    """(|a|^2, |b|^2, a.b) of two sparse (dict) or two dense vectors."""
+    if isinstance(a, dict):
+        # fsum is correctly rounded, so the result does not depend on the
+        # order the terms come in: swapping a and b gives the same bits.
+        small, big = (a, b) if len(a) <= len(b) else (b, a)
+        return (
+            math.fsum(v * v for v in a.values()),
+            math.fsum(v * v for v in b.values()),
+            math.fsum(v * big[k] for k, v in small.items() if k in big),
+        )
+    return float(np.dot(a, a)), float(np.dot(b, b)), float(np.dot(a, b))
+
+
+def _unit_scaled(a):
+    """``a`` times the power of two that brings its largest magnitude into
+    [0.5, 1); unchanged if that magnitude is 0 or not finite."""
+    if isinstance(a, dict):
+        e = math.frexp(max(map(abs, a.values()), default=0.0))[1]
+        return {k: math.ldexp(v, -e) for k, v in a.items()}
+    e = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    return np.ldexp(a, -e)
 
 
 def cosine(a, b):
     """Cosine distance (1 - cosine similarity), clamped to [0, 2].
 
     Accepts dense vectors (arrays) or sparse vectors as {index: value} dicts.
-    Zero-norm vectors are an error rather than a silent 1.0.
+    Zero-norm vectors are an error rather than a silent 1.0. The result does
+    not depend on scale: when a squared norm or their product would leave
+    the finite normal range, both vectors are first rescaled by powers of two.
     """
     if isinstance(a, dict) or isinstance(b, dict):
         if not isinstance(a, dict) or not isinstance(b, dict):
             raise ValueError("cannot mix sparse and dense vectors")
-        # fsum is correctly rounded, so the result does not depend on the
-        # order the terms come in: swapping a and b gives the same bits.
-        daa = math.fsum(v * v for v in a.values())
-        dbb = math.fsum(v * v for v in b.values())
-        if daa == 0.0 or dbb == 0.0:
-            raise ValueError("cosine distance undefined for zero-norm vector")
-        small, big = (a, b) if len(a) <= len(b) else (b, a)
-        dot = math.fsum(v * big[k] for k, v in small.items() if k in big)
     else:
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        daa = float(np.dot(a, a))
-        dbb = float(np.dot(b, b))
-        if daa == 0.0 or dbb == 0.0:
-            raise ValueError("cosine distance undefined for zero-norm vector")
-        dot = float(np.dot(a, b))
+    daa, dbb, dot = _cosine_terms(a, b)
+    if not (_normal(daa) and _normal(dbb) and _normal(daa * dbb)):
+        daa, dbb, dot = _cosine_terms(_unit_scaled(a), _unit_scaled(b))
+    if daa == 0.0 or dbb == 0.0:
+        raise ValueError("cosine distance undefined for zero-norm vector")
     # sqrt(daa * dbb) keeps the ratio exactly 1 on identical inputs.
     return min(max(1.0 - dot / math.sqrt(daa * dbb), 0.0), 2.0)
 
@@ -160,6 +206,10 @@ BUILTIN = {
     "simpson": simpson,
     "hamming": hamming,
 }
+
+
+# One-to-many forms of built-in distances, keyed by the scalar function.
+MANY = {euclidean: euclidean_many}
 
 
 def by_name(name):

@@ -19,12 +19,22 @@ selection heuristic also compares pairs of existing items, and takes their
 distance from the layer-0 links or from the caller's neighbor heaps when
 either holds it: those values came from earlier insertions' triples, so the
 pair is neither evaluated nor reported again.
+
+The search evaluates a node's unvisited neighbors together, as hnswlib and
+Malkov & Yashunin's Alg. 2 do. When the distance has a batched form
+(``distances.MANY``: the built-in ``euclidean``) and two or more of those
+pairs are unknown, they cost one call of that form, whose values equal the
+scalar function's bit for bit; the heap updates then consume them in
+neighbor order. Any other distance, including a wrapper around a built-in
+(such as a tracer's timing wrapper), is called one pair at a time. The
+selection heuristic stays scalar: it stops at the first closer kept
+neighbor, so batching its comparisons would add calls.
 """
 
 import heapq
 import math
 
-from .distances import DistanceError
+from .distances import MANY, DistanceError
 
 __all__ = ["Hnsw"]
 
@@ -39,13 +49,19 @@ class _Recorder:
 
     A pair already evaluated in this insertion is answered from the memo,
     so ``raw`` is the number of real calls to ``fn`` and each evaluated
-    pair yields exactly one triple.
+    pair yields exactly one triple. ``many`` evaluates one item against a
+    list of others, in one call of the distance's batched form when it has
+    one (``distances.MANY``) and two or more of the pairs are unknown.
     """
 
-    __slots__ = ("fn", "items", "raw", "memo")
+    __slots__ = ("fn", "batched", "items", "raw", "memo")
 
     def __init__(self, fn, items):
         self.fn = fn
+        try:
+            self.batched = MANY.get(fn)
+        except TypeError:  # an unhashable callable has no batched form
+            self.batched = None
         self.items = items
         self.raw = 0
         self.memo = {}
@@ -56,17 +72,44 @@ class _Recorder:
         if v is not None:
             return v
         v = float(self.fn(self.items[a], self.items[b]))
-        if not v >= 0.0:  # catches NaN and negatives
-            raise DistanceError(f"distance({a}, {b}) returned {v}")
-        if math.isinf(v):
-            raise DistanceError(f"distance({a}, {b}) returned a non-finite value")
+        if not 0.0 <= v < math.inf:  # catches NaN, negatives and inf
+            _reject(a, b, v)
         self.raw += 1
         self.memo[key] = v
         return v
 
+    def many(self, a, ids):
+        """``[self(a, b) for b in ids]`` for distinct ids; values are
+        validated, and any error raised, in the order of ``ids``."""
+        if self.batched is None:
+            return [self(a, b) for b in ids]
+        memo = self.memo
+        keys = [(a, b) if a < b else (b, a) for b in ids]
+        out = list(map(memo.get, keys))
+        todo = [i for i, v in enumerate(out) if v is None]
+        if len(todo) < 2:
+            return [self(a, b) for b in ids]
+        items = self.items
+        values = self.batched(items[a], [items[ids[i]] for i in todo])
+        if values is None:  # payloads the batched form does not handle
+            return [self(a, b) for b in ids]
+        for i, v in zip(todo, values):
+            if not 0.0 <= v < math.inf:
+                _reject(a, ids[i], v)
+            memo[keys[i]] = out[i] = v
+        self.raw += len(todo)
+        return out
+
     def finish(self):
         triples = [(a, b, v) for (a, b), v in self.memo.items()]
         return triples, self.raw
+
+
+def _reject(a, b, v):
+    """Raise the DistanceError for an invalid value v of distance(a, b)."""
+    if not v >= 0.0:  # NaN and negatives
+        raise DistanceError(f"distance({a}, {b}) returned {v}")
+    raise DistanceError(f"distance({a}, {b}) returned a non-finite value")
 
 
 class Hnsw:
@@ -190,11 +233,11 @@ class Hnsw:
             worst = -entry_points[0][0]
             if dist > worst:
                 break
-            for nbr in layer[node]:
-                if nbr in visited:
-                    continue
-                visited.add(nbr)
-                d = rec(x, nbr)
+            fresh = [nbr for nbr in layer[node] if nbr not in visited]
+            if not fresh:
+                continue
+            visited.update(fresh)
+            for nbr, d in zip(fresh, rec.many(x, fresh)):
                 if len(entry_points) < ef:
                     heapq.heappush(candidates, (d, nbr))
                     heapq.heappush(entry_points, (-d, nbr))

@@ -229,6 +229,25 @@ class TestDataErrors:
         ])
         assert f"{data}: item 2: dimension mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("cluster", []),
+        ("stream", ["--chunk", "50"]),
+    ])
+    def test_late_ragged_row_named(self, tmp_path, capsys, command, extra):
+        # By item 250 the engine evaluates neighbor lists in batches; the
+        # ragged item still fails with the scalar distance's error.
+        rng = np.random.default_rng(0)
+        rows = [",".join(repr(float(v)) for v in row) for row in rng.random((300, 2))]
+        rows[250] += ",0.5"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code = main([
+            command, "--input", str(data), "--format", "dense-csv",
+            "--distance", "euclidean", "--out", str(tmp_path / "o"), *extra,
+        ])
+        assert code == 2
+        assert f"{data}: item 250: dimension mismatch" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["1 5 0.2", "0 1 nan"])
     def test_bad_distance_log_exit_2(self, tmp_path, row):
         log = tmp_path / "d.log"

@@ -78,6 +78,38 @@ class TestEuclidean:
             distances.euclidean([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+class TestEuclideanMany:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 100, 1000])
+    def test_equals_scalar_bit_for_bit(self, rng, dim):
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.normal(size=dim) * scale
+            bs = list(rng.normal(size=(40, dim)) * scale)
+            want = [distances.euclidean(a, b).hex() for b in bs]
+            got = distances.euclidean_many(a, bs)
+            assert [v.hex() for v in got] == want
+            # the same values with the arguments swapped
+            assert [distances.euclidean(b, a).hex() for b in bs] == want
+
+    def test_list_payloads(self, rng):
+        a = rng.random(7).tolist()
+        bs = rng.random((12, 7)).tolist()
+        got = distances.euclidean_many(a, bs)
+        assert got == [distances.euclidean(a, b) for b in bs]
+
+    @pytest.mark.parametrize("a, bs", [
+        ([0.0, 0.0], [[1.0, 1.0], [2.0, 2.0, 2.0]]),  # ragged rows
+        ([0.0, 0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]]),  # rows shorter than a
+        ([0.0], [[1.0, 1.0], [2.0, 2.0]]),  # would broadcast
+        (0.0, [1.0, 2.0]),  # scalars
+        ("ab", ["cd", "ef"]),  # not numbers
+    ])
+    def test_unhandled_payloads_return_none(self, a, bs):
+        assert distances.euclidean_many(a, bs) is None
+
+    def test_registered_as_batched_form(self):
+        assert distances.MANY == {distances.euclidean: distances.euclidean_many}
+
+
 class TestCosine:
     def test_parallel(self):
         assert distances.cosine([1.0, 2.0], [2.0, 4.0]) == pytest.approx(0.0, abs=1e-12)
@@ -107,6 +139,20 @@ class TestCosine:
             distances.cosine([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ValueError, match="zero-norm"):
             distances.cosine({}, {1: 1.0})
+
+    # Today's formula overflows in np.dot before the rescaled one runs.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("magnitude", [1e-300, 1e-160, 1e-100, 1.16e77, 1e100, 1e300])
+    def test_extreme_magnitudes(self, magnitude):
+        a = np.array([3.0, 4.0]) * magnitude
+        b = np.array([4.0, 3.0]) * magnitude
+        want = distances.cosine(np.array([3.0, 4.0]), np.array([4.0, 3.0]))
+        assert distances.cosine(a, a) == 0.0
+        assert distances.cosine(a, b) == pytest.approx(want, rel=1e-12)
+        sa = {0: float(a[0]), 7: float(a[1])}
+        sb = {0: float(b[0]), 7: float(b[1])}
+        assert distances.cosine(sa, sa) == 0.0
+        assert distances.cosine(sa, sb) == pytest.approx(want, rel=1e-12)
 
     def test_mixed_sparse_dense_is_error(self):
         with pytest.raises(ValueError, match="mix"):

@@ -9,7 +9,7 @@ import pytest
 
 import fishdbc
 from conftest import canonical_labels, two_blob_points
-from fishdbc import FISHDBC, DistanceError, distances
+from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
 
 
@@ -360,6 +360,73 @@ class TestDistanceReuse:
             engine.add(p)
         n = engine.n
         assert engine.distance_calls / n < (n - 1) / 2
+
+
+class TestBatchedTap:
+    """The built-in Euclidean is evaluated a neighbor list at a time; a
+    wrapped copy of it takes the scalar path. Both must build the same
+    engine."""
+
+    @staticmethod
+    def state(engine):
+        labels = engine.cluster().labels.tolist()
+        return engine.distance_calls, engine.forest_edges(), labels, engine.pair_log()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_batched_and_scalar_paths_build_the_same_engine(self, seed):
+        rng = np.random.default_rng(seed)
+        X, _ = dataio.generate_blobs(1000, dim=10, centers=5, rng=rng)
+        states = []
+        for distance in (distances.euclidean, lambda a, b: distances.euclidean(a, b)):
+            engine = FISHDBC(distance, rng_seed=seed, record_pairs=True)
+            for row in X:
+                engine.add(row)
+            states.append(self.state(engine))
+        assert states[0] == states[1]
+
+    def test_nan_in_a_batch_is_atomic(self, monkeypatch):
+        # A NaN payload fails at its first distance, which is to the entry
+        # point and scalar. To fail inside a batched neighbor-list
+        # expansion instead, every stored payload but the entry point's
+        # turns NaN for one add() and is restored after it.
+        data = np.random.default_rng(6).random((400, 4))
+        batches = []
+        many = distances.euclidean_many
+
+        def spy(a, bs):
+            values = many(a, bs)
+            batches.append(any(math.isnan(v) for v in values))
+            return values
+
+        monkeypatch.setitem(distances.MANY, distances.euclidean, spy)
+
+        def unflushed(engine):
+            layers = [{x: dict(adj) for x, adj in layer.items()}
+                      for layer in engine._hnsw._layers]
+            return (engine.n, engine.distance_calls, engine.candidate_count,
+                    engine.pair_log(), layers)
+
+        def run(fail_at):
+            rows = [row.copy() for row in data]
+            engine = FISHDBC(distances.euclidean, minpts=5, rng_seed=3, record_pairs=True)
+            for k, row in enumerate(rows):
+                if k == fail_at:
+                    before = unflushed(engine)
+                    saved = [r.copy() for r in rows[:k]]
+                    for i in range(k):
+                        if i != engine._hnsw._entry:
+                            rows[i][:] = np.nan
+                    batches.clear()
+                    with pytest.raises(DistanceError):
+                        engine.add(row.copy())
+                    assert batches[-1]  # the failure came from a batch
+                    for r, s in zip(rows, saved):
+                        r[:] = s
+                    assert unflushed(engine) == before
+                engine.add(row)
+            return self.state(engine)
+
+        assert run(fail_at=300) == run(fail_at=None)
 
 
 def test_no_heavy_runtime_imports():

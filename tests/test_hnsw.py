@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fishdbc import distances
 from fishdbc.distances import DistanceError, euclidean
-from fishdbc.hnsw import Hnsw
+from fishdbc.hnsw import Hnsw, _Recorder
 
 
 def make_index(items, m=5, m0=10, ef=20, level_mult=None, seed=0, distance=euclidean):
@@ -195,6 +196,97 @@ class TestDistanceTap:
         components = len({find(i) for i in range(n)})
         print(f"triple-log components on 400 uniform points: {components}")
         assert components >= 1
+
+
+def scalar_euclidean(a, b):
+    # Not the built-in function object, so it has no batched form.
+    return euclidean(a, b)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Sizes of the batches handed to the built-in Euclidean's batched form."""
+    sizes = []
+    many = distances.euclidean_many
+
+    def spy(a, bs):
+        sizes.append(len(bs))
+        return many(a, bs)
+
+    monkeypatch.setitem(distances.MANY, euclidean, spy)
+    return sizes
+
+
+def snapshot(idx):
+    return [{node: dict(adj) for node, adj in layer.items()} for layer in idx._layers]
+
+
+class TestBatchedTap:
+    def test_batched_and_scalar_paths_tap_the_same_triples(self, rng, batches):
+        items = [rng.random(5) for _ in range(300)]
+        batched = make_index(items, seed=9)
+        scalar = make_index(items, seed=9, distance=scalar_euclidean)
+        for i in range(300):
+            assert batched.insert(i) == scalar.insert(i)
+        assert snapshot(batched) == snapshot(scalar)
+        assert len(batches) > 100 and min(batches) >= 2
+
+    def test_memoized_pairs_are_not_recomputed(self, batches):
+        items = [np.array([float(v)]) for v in range(5)]
+        rec = _Recorder(euclidean, items)
+        assert rec(4, 1) == 3.0
+        assert rec.many(4, [0, 1, 2]) == [4.0, 3.0, 2.0]
+        assert batches == [2]  # only (4, 0) and (4, 2) were unknown
+        assert rec.many(4, [2, 3]) == [2.0, 1.0]  # one unknown: scalar path
+        assert batches == [2]
+        assert rec.raw == 4
+        assert rec.finish()[0] == [(1, 4, 3.0), (0, 4, 4.0), (2, 4, 2.0), (3, 4, 1.0)]
+
+    def test_unhandled_payloads_take_the_scalar_path(self):
+        items = [np.zeros(2), np.ones(2), np.ones(3), np.ones(2)]
+        rec = _Recorder(euclidean, items)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rec.many(0, [1, 2, 3])
+        assert list(rec.memo) == [(0, 1)]
+
+    def test_unhashable_distance_takes_the_scalar_path(self, rng):
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, a, b):
+                return euclidean(a, b)
+
+        items = [rng.random(3) for _ in range(50)]
+        idx = make_index(items, seed=12, distance=Unhashable())
+        reference = make_index(items, seed=12)
+        for i in range(50):
+            assert idx.insert(i) == reference.insert(i)
+
+    def test_bad_value_in_a_batch_names_the_first_bad_pair(self, rng, batches):
+        # One layer, so the search starts by expanding the entry point's
+        # layer-0 list. Every stored payload but the entry point's turns
+        # NaN: the new item's first distance (to the entry point) is fine
+        # and that expansion fails.
+        points = rng.random((200, 3))
+        errors = []
+        for distance in (euclidean, scalar_euclidean):
+            items = list(points.copy())
+            idx = make_index(items, level_mult=0.0, distance=distance)
+            for i in range(199):
+                idx.insert(i)
+            before = snapshot(idx), idx._entry, idx._rng.bit_generator.state
+            for i in range(199):
+                if i != idx._entry:
+                    items[i][:] = np.nan
+            batches.clear()
+            with pytest.raises(DistanceError) as exc:
+                idx.insert(199)
+            errors.append(str(exc.value))
+            assert (snapshot(idx), idx._entry, idx._rng.bit_generator.state) == before
+            assert 199 not in idx
+            # only the built-in function fails inside a batch
+            assert bool(batches) == (distance is euclidean)
+        assert errors[0] == errors[1]
 
 
 class TestAtomicity:

@@ -141,3 +141,27 @@ def test_builtin_distances_symmetric_bit_for_bit(name, data):
     a, b = data.draw(payload_pairs[name], label="payloads")
     fn = distances.BUILTIN[name]
     assert fn(a, b).hex() == fn(b, a).hex()
+
+
+# One magnitude per vector, 1e-100..1e100: squared norms and their product
+# leave the float range at both ends.
+magnitudes = st.integers(-100, 100).map(lambda e: 10.0 ** e)
+unit_vectors = st.lists(nonzero, min_size=1, max_size=8)
+
+
+def scaled(values, magnitude, sparse):
+    if sparse:
+        return {3 * i: v * magnitude for i, v in enumerate(values)}
+    return np.array(values) * magnitude
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(deadline=None, max_examples=300)
+@given(values=st.tuples(unit_vectors, unit_vectors), ma=magnitudes, mb=magnitudes,
+       sparse=st.booleans())
+def test_cosine_scale_free(values, ma, mb, sparse):
+    n = min(len(values[0]), len(values[1]))
+    a = scaled(values[0][:n], ma, sparse)
+    b = scaled(values[1][:n], mb, sparse)
+    assert distances.cosine(a, a) == 0.0
+    assert distances.cosine(a, b).hex() == distances.cosine(b, a).hex()
