@@ -8,6 +8,7 @@ user-supplied functions with the same contract are accepted by the engine.
 
 import math
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -128,46 +129,44 @@ def jaccard(a, b):
     return 1.0 - len(a & b) / union
 
 
-def _jaro(a, b):
-    la, lb = len(a), len(b)
-    if la == 0 and lb == 0:
-        return 1.0
-    if la == 0 or lb == 0:
+def jaro_winkler(a, b):
+    """Jaro-Winkler distance with prefix scale 0.1 and max prefix length 4.
+
+    Both arguments must be ``str`` (a ``TypeError`` names the type
+    otherwise); characters are compared as code points. Each character of
+    ``a`` takes the first free equal character of ``b`` in its match
+    window, found with ``str.find`` rather than a Python loop.
+    """
+    if not (isinstance(a, str) and isinstance(b, str)):
+        raise TypeError(
+            f"jaro_winkler compares two str, got {type(a).__name__} and {type(b).__name__}"
+        )
+    if a == b:
         return 0.0
+    la, lb = len(a), len(b)
     window = max(la, lb) // 2 - 1
     if window < 0:
         window = 0
-    match_a = [False] * la
-    match_b = [False] * lb
-    matches = 0
-    for i in range(la):
-        start = max(0, i - window)
-        end = min(lb, i + window + 1)
-        for j in range(start, end):
-            if not match_b[j] and a[i] == b[j]:
-                match_a[i] = True
-                match_b[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    transpositions = 0
-    j = 0
-    for i in range(la):
-        if match_a[i]:
-            while not match_b[j]:
-                j += 1
-            if a[i] != b[j]:
-                transpositions += 1
-            j += 1
-    t = transpositions // 2
-    m = float(matches)
-    return (m / la + m / lb + (m - t) / m) / 3.0
-
-
-def jaro_winkler(a, b):
-    """Jaro-Winkler distance with prefix scale 0.1 and max prefix length 4."""
-    sim = _jaro(a, b)
+    taken = [False] * lb
+    matched_a = []
+    find = b.find
+    for i, ch in enumerate(a):
+        lo = i - window
+        hi = i + window + 1
+        # a negative start would count from the end of b
+        j = find(ch, lo if lo > 0 else 0, hi)
+        while j >= 0 and taken[j]:
+            j = find(ch, j + 1, hi)
+        if j >= 0:
+            taken[j] = True
+            matched_a.append(ch)
+    if matched_a:
+        # half the positions where the matched characters, in order, differ
+        t = sum(map(str.__ne__, matched_a, compress(b, taken))) // 2
+        m = float(len(matched_a))
+        sim = (m / la + m / lb + (m - t) / m) / 3.0
+    else:
+        sim = 0.0
     prefix = 0
     for ca, cb in zip(a, b):
         if ca != cb or prefix == 4:
@@ -181,6 +180,8 @@ def simpson(a, b):
     """Simpson distance between bitmaps: 1 - c(a&b) / min(c(a), c(b))."""
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     ca = int(np.count_nonzero(a))
     cb = int(np.count_nonzero(b))
     if ca == 0 or cb == 0:

@@ -27,6 +27,29 @@ def two_blob_points(rng, per_blob=100, sep=10.0, std=0.05):
     return data[order]
 
 
+def noisy_strings(n, rng, prototypes=10, length=16, edit_rate=0.2):
+    """n noisy copies of a few random lowercase prototype strings.
+
+    Each character of the chosen prototype is, with probability
+    ``edit_rate``, substituted, followed by an inserted letter, or deleted.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    protos = ["".join(rng.choice(list(letters), length)) for _ in range(prototypes)]
+    out = []
+    for k in rng.integers(0, prototypes, size=n):
+        chars = []
+        for ch in protos[k]:
+            r = rng.random()
+            if r < edit_rate / 3:
+                chars.append(letters[rng.integers(26)])
+            elif r < 2 * edit_rate / 3:
+                chars.append(ch + letters[rng.integers(26)])
+            elif r >= edit_rate:
+                chars.append(ch)
+        out.append("".join(chars))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -248,6 +248,19 @@ class TestDataErrors:
         assert code == 2
         assert f"{data}: item 250: dimension mismatch" in capsys.readouterr().err
 
+    def test_ragged_bitmap_named(self, tmp_path, capsys):
+        # Before the length check, simpson broadcast the one-bit row and
+        # the engine reported a negative distance instead.
+        data = tmp_path / "bits.csv"
+        data.write_text("1,0,1\n1\n0,1,1\n")
+        code = main([
+            "cluster", "--input", str(data), "--format", "bitmap-csv",
+            "--distance", "simpson", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{data}: item 1: length mismatch" in err
+
     @pytest.mark.parametrize("row", ["1 5 0.2", "0 1 nan"])
     def test_bad_distance_log_exit_2(self, tmp_path, row):
         log = tmp_path / "d.log"

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import noisy_strings
 from fishdbc import distances
 
 
@@ -56,6 +58,56 @@ def reference_jaro_winkler_similarity(s1, s2):
             break
         prefix += 1
     return jaro + prefix * 0.1 * (1.0 - jaro)
+
+
+def _loop_jaro(a, b):
+    la, lb = len(a), len(b)
+    if la == 0 and lb == 0:
+        return 1.0
+    if la == 0 or lb == 0:
+        return 0.0
+    window = max(la, lb) // 2 - 1
+    if window < 0:
+        window = 0
+    match_a = [False] * la
+    match_b = [False] * lb
+    matches = 0
+    for i in range(la):
+        start = max(0, i - window)
+        end = min(lb, i + window + 1)
+        for j in range(start, end):
+            if not match_b[j] and a[i] == b[j]:
+                match_a[i] = True
+                match_b[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i in range(la):
+        if match_a[i]:
+            while not match_b[j]:
+                j += 1
+            if a[i] != b[j]:
+                transpositions += 1
+            j += 1
+    t = transpositions // 2
+    m = float(matches)
+    return (m / la + m / lb + (m - t) / m) / 3.0
+
+
+def loop_jaro_winkler(a, b):
+    """The index-loop Jaro-Winkler that ``distances.jaro_winkler`` must
+    equal bit for bit: the packaged kernel scans with ``str.find``."""
+    sim = _loop_jaro(a, b)
+    prefix = 0
+    for ca, cb in zip(a, b):
+        if ca != cb or prefix == 4:
+            break
+        prefix += 1
+    sim += prefix * 0.1 * (1.0 - sim)
+    return 1.0 - sim
 
 
 class TestEuclidean:
@@ -198,6 +250,33 @@ class TestJaroWinkler:
             want = 1.0 - reference_jaro_winkler_similarity(s1, s2)
             assert got == pytest.approx(want, abs=1e-12), (s1, s2)
 
+    @settings(deadline=None, max_examples=500)
+    @given(data=st.data(), alphabet=st.sampled_from(
+        ["ab", "abcd", "abcdefghijklmnopqrstuvwxyz", "a\u00e9\u20ac\U0001f600"]))
+    def test_equals_loop_bit_for_bit(self, data, alphabet):
+        text = st.text(alphabet=alphabet, max_size=40)
+        a = data.draw(text, label="a")
+        b = data.draw(text, label="b")
+        assert distances.jaro_winkler(a, b).hex() == loop_jaro_winkler(a, b).hex()
+        assert distances.jaro_winkler(b, a).hex() == loop_jaro_winkler(b, a).hex()
+
+    def test_equals_loop_on_noisy_corpus(self):
+        strings = noisy_strings(200, np.random.default_rng(20191016))
+        for a in strings:
+            for b in strings:
+                assert distances.jaro_winkler(a, b).hex() == loop_jaro_winkler(a, b).hex(), (a, b)
+
+    @pytest.mark.parametrize("a, b, named", [
+        (list("abc"), list("abc"), "list"),
+        ("abc", list("abd"), "list"),
+        (b"abc", "abc", "bytes"),
+        ("abc", None, "NoneType"),
+    ])
+    def test_non_str_is_type_error(self, a, b, named):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError, match=named):
+                distances.jaro_winkler(x, y)
+
 
 class TestSimpson:
     def test_identical(self):
@@ -217,6 +296,12 @@ class TestSimpson:
     def test_all_zero_is_error(self):
         with pytest.raises(ValueError, match="all-zero"):
             distances.simpson(np.zeros(4, dtype=bool), np.ones(4, dtype=bool))
+
+    @pytest.mark.parametrize("a, b", [([1], [0, 1, 0]), ([1], [1, 0, 1]), ([1, 1], [1])])
+    def test_length_mismatch(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="length mismatch"):
+                distances.simpson(x, y)
 
 
 class TestHamming:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import fishdbc
-from conftest import canonical_labels, two_blob_points
+from conftest import canonical_labels, noisy_strings, two_blob_points
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
+from test_distances import loop_jaro_winkler
 
 
 class TestConfig:
@@ -427,6 +428,22 @@ class TestBatchedTap:
             return self.state(engine)
 
         assert run(fail_at=300) == run(fail_at=None)
+
+
+class TestJaroWinklerKernel:
+    """The built-in Jaro-Winkler scans with ``str.find``; the index-loop
+    reference must build the same engine from the same strings."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_find_and_loop_kernels_build_the_same_engine(self, seed):
+        strings = noisy_strings(400, np.random.default_rng(seed))
+        states = []
+        for distance in (distances.jaro_winkler, loop_jaro_winkler):
+            engine = FISHDBC(distance, rng_seed=seed, record_pairs=True)
+            for s in strings:
+                engine.add(s)
+            states.append(TestBatchedTap.state(engine))
+        assert states[0] == states[1]
 
 
 def test_no_heavy_runtime_imports():
