@@ -1,19 +1,19 @@
 """Incremental density-based clustering engine.
 
 Items are added one at a time. Every distance computed while linking an item
-into the HNSW is tapped and used twice: it updates both endpoints' nearest
-neighbor heaps (which define core distances) and it feeds candidate edges of
-the mutual-reachability graph into a bounded buffer. When the buffer
+into the HNSW is tapped and used twice: it updates both endpoints' sets of
+nearest neighbors (which define core distances) and it feeds candidate
+edges of the mutual-reachability graph into a bounded buffer. When the buffer
 outgrows ``alpha * n`` entries it is folded into the approximate minimum
 spanning forest with Kruskal's algorithm. Clustering at any point flushes
 the buffer and extracts the hierarchy from the forest.
 
-Whenever an item's heap changes, the edges to its current heap members (and
-to the entry just evicted, if any) are re-pushed with freshly settled core
-distances. This keeps every computed pair's best-known weight converging to
-its exact mutual reachability distance, so the final forest is a true
-minimum spanning forest of the reachability graph restricted to computed
-pairs.
+Whenever an item's neighbor set changes, the edges to its current members
+(and to the entry just evicted, if any) are re-pushed with freshly settled
+core distances. This keeps every computed pair's best-known weight
+converging to its exact mutual reachability distance, so the final forest is
+a true minimum spanning forest of the reachability graph restricted to
+computed pairs.
 """
 
 import math
@@ -57,7 +57,8 @@ class FISHDBC:
         self._rng = np.random.default_rng(rng_seed)
         # The HNSW paper's recommended settings (Malkov & Yashunin):
         # M = minpts, M_max0 = 2M and level multiplier m_L = 1 / ln M.
-        # The HNSW reads distances the heaps hold instead of recomputing them.
+        # The HNSW reads distances the neighbor sets hold instead of
+        # recomputing them.
         self._hnsw = Hnsw(
             distance,
             self._items,
@@ -66,16 +67,13 @@ class FISHDBC:
             ef=ef,
             level_mult=1.0 / math.log(minpts),
             rng=self._rng,
-            heap_dists=self._neighbors.dists,
+            neighbor_dists=self._neighbors.dists,
         )
         self._buf = CandidateBuffer()
         self._msf = Msf()
         self._distance_calls = 0
         self._pairs = {} if record_pairs else None
         self.last_add_pushes = 0
-
-    def __len__(self):
-        return len(self._items)
 
     @property
     def n(self):
@@ -120,8 +118,8 @@ class FISHDBC:
         ns = self._neighbors
         ns.register(x)
 
-        # Phase 1: heap updates for both endpoints of every triple. Track
-        # whose top-minpts set changed and what fell out.
+        # Phase 1: neighbor set updates for both endpoints of every triple.
+        # Track whose top-minpts set changed and what fell out.
         changed = {}
         evictions = []
         for a, b, v in triples:

@@ -16,7 +16,7 @@ No distance is paid for twice. Within one insertion each unordered pair
 reaches the distance function at most once; a repeat returns the stored
 value, which relies on the distance being symmetric and deterministic. The
 selection heuristic also compares pairs of existing items, and takes their
-distance from the layer-0 links or from the caller's neighbor heaps when
+distance from the layer-0 links or from the caller's neighbor sets when
 either holds it: those values came from earlier insertions' triples, so the
 pair is neither evaluated nor reported again.
 
@@ -24,7 +24,7 @@ The search evaluates a node's unvisited neighbors together, as hnswlib and
 Malkov & Yashunin's Alg. 2 do. When the distance has a batched form
 (``distances.MANY``: the built-in ``euclidean``) and two or more of those
 pairs are unknown, they cost one call of that form, whose values equal the
-scalar function's bit for bit; the heap updates then consume them in
+scalar function's bit for bit; the search then consumes them in
 neighbor order. Any other distance, including a wrapper around a built-in
 (such as a tracer's timing wrapper), is called one pair at a time. The
 selection heuristic stays scalar: it stops at the first closer kept
@@ -39,7 +39,7 @@ from .distances import MANY, DistanceError
 __all__ = ["Hnsw"]
 
 
-# Stands in for a missing adjacency or heap mirror; never written.
+# Stands in for a missing adjacency or neighbor set; never written.
 _EMPTY = {}
 
 
@@ -118,14 +118,14 @@ class Hnsw:
     ``items`` is a shared sequence of payloads owned by the caller; the id of
     an item is its index in that sequence. ``m`` is the per-layer degree
     target (``m0`` applies to layer 0) and ``ef`` the construction beam width.
-    ``heap_dists`` is the caller's ``{item: {neighbor: distance}}`` map of
-    distances it already holds, read but never written here; every value in
-    it must have come from a triple this index returned.
+    ``neighbor_dists`` is the caller's ``{item: {neighbor: distance}}`` map
+    of distances it already holds, read but never written here; every value
+    in it must have come from a triple this index returned.
     """
 
-    def __init__(self, distance, items, m, m0, ef, level_mult, rng, heap_dists=None):
+    def __init__(self, distance, items, m, m0, ef, level_mult, rng, neighbor_dists):
         self._distance = distance
-        self._heap_dists = {} if heap_dists is None else heap_dists
+        self._neighbor_dists = neighbor_dists
         self._items = items
         self._m = m
         self._m0 = m0
@@ -150,8 +150,8 @@ class Hnsw:
         Returns ``(triples, raw_calls)``: one (a, b, distance) triple, a < b,
         per pair the insertion evaluated, and the number of calls made to
         the distance function, which equals the number of triples. Pairs
-        whose distance was read from the layer-0 links or ``heap_dists``
-        are neither evaluated nor reported.
+        whose distance was read from the layer-0 links or
+        ``neighbor_dists`` are neither evaluated nor reported.
         """
         if x in self:
             raise ValueError(f"item {x} already inserted")
@@ -253,26 +253,26 @@ class Hnsw:
 
         ``candidates`` must be sorted ascending (dist-to-base, node); the
         kept subset (same representation) is returned. A candidate-to-kept
-        distance the layer-0 links or the neighbor heaps hold is read, not
+        distance the layer-0 links or the neighbor sets hold is read, not
         evaluated.
         """
         if len(candidates) <= cap:
             return list(candidates)
         layer0 = self._layers[0]
-        heaps = self._heap_dists
+        near = self._neighbor_dists
         kept = []
         for d_c, c in candidates:
             if len(kept) >= cap:
                 break
             adj_c = layer0.get(c, _EMPTY)
-            heap_c = heaps.get(c, _EMPTY)
+            near_c = near.get(c, _EMPTY)
             good = True
             for _, k in kept:
                 d = adj_c.get(k)
                 if d is None:
-                    d = heap_c.get(k)
+                    d = near_c.get(k)
                 if d is None:
-                    d = heaps.get(k, _EMPTY).get(c)
+                    d = near.get(k, _EMPTY).get(c)
                 if d is None:
                     d = rec(c, k)
                 if d < d_c:

@@ -44,11 +44,6 @@ class CandidateBuffer:
         if cur is None or w < cur:
             self._edges[key] = w
 
-    def get(self, a, b):
-        if a > b:
-            a, b = b, a
-        return self._edges.get((a << _SHIFT) | b)
-
     def clear(self):
         self._edges.clear()
 

@@ -1,11 +1,11 @@
-"""Per-item bounded max-heaps of the closest discovered neighbors.
+"""Per-item bounded sets of the closest discovered neighbors.
 
-Each item keeps its ``minpts`` closest neighbors seen so far; the heap top is
-the item's core distance once the heap is full, and +inf before that. That
-rule makes core distances monotone non-increasing over the store's lifetime.
+Each item keeps its ``minpts`` closest neighbors seen so far in one
+``{neighbor: distance}`` dict, and a stored core distance: +inf until the set
+is full, then the largest distance in it. That rule makes core distances
+monotone non-increasing over the store's lifetime.
 """
 
-import heapq
 import math
 
 __all__ = ["NeighborStore"]
@@ -18,59 +18,56 @@ class NeighborStore:
         if minpts < 2:
             raise ValueError(f"minpts must be >= 2 (got {minpts})")
         self.minpts = minpts
-        # Per item: a heap of (-distance, neighbor) plus a mirror dict
-        # neighbor -> distance for O(1) duplicate checks. Others may read
-        # ``dists`` (the HNSW reuses its distances) but never write it.
-        self._heaps = {}
+        # item -> {neighbor: distance}. Others may read ``dists`` (the HNSW
+        # reuses its distances) but never write it.
         self.dists = {}
+        self._core = {}
 
     def register(self, x):
-        if x in self._heaps:
+        if x in self.dists:
             raise ValueError(f"item {x} already registered")
-        self._heaps[x] = []
         self.dists[x] = {}
+        self._core[x] = INF
 
     def observe(self, x, y, v):
-        """Record that d(x, y) = v, updating x's heap only.
+        """Record that d(x, y) = v, updating x's set only.
 
         Returns ``(improved, evicted)`` where ``improved`` says whether x's
         top-minpts set changed and ``evicted`` is the ``(neighbor, distance)``
-        entry pushed out of the heap, if any. Ties at the top evict only on
-        strict improvement.
+        entry pushed out of the set, if any. Only a strict improvement on the
+        core distance evicts; of equally far entries, the lowest id goes.
         """
         if x == y:
             raise ValueError("an item cannot be its own neighbor")
-        heap = self._heaps[x]
-        dists = self.dists[x]
-        old = dists.get(y)
+        near = self.dists[x]
+        old = near.get(y)
         if old is not None:
             if v >= old:
                 return False, None
-            # Same pair re-observed with a smaller distance; rebuild.
-            heap.remove((-old, y))
-            heapq.heapify(heap)
-            heapq.heappush(heap, (-v, y))
-            dists[y] = v
+            # Same pair re-observed with a smaller distance. Only a full
+            # set's core can move; an underfull one stays at +inf.
+            near[y] = v
+            if len(near) == self.minpts and old == self._core[x]:
+                self._core[x] = max(near.values())
             return True, None
-        if len(heap) < self.minpts:
-            heapq.heappush(heap, (-v, y))
-            dists[y] = v
+        if len(near) < self.minpts:
+            near[y] = v
+            if len(near) == self.minpts:
+                self._core[x] = max(near.values())
             return True, None
-        top = -heap[0][0]
-        if v >= top:
+        core = self._core[x]
+        if v >= core:
             return False, None
-        neg, evicted_id = heapq.heappushpop(heap, (-v, y))
-        dists[y] = v
-        del dists[evicted_id]
-        return True, (evicted_id, -neg)
+        evicted = min(z for z, d in near.items() if d == core)
+        del near[evicted]
+        near[y] = v
+        self._core[x] = max(near.values())
+        return True, (evicted, core)
 
     def core_distance(self, x):
         """Distance of x's minpts-th closest known neighbor; +inf if unknown."""
-        heap = self._heaps[x]
-        if len(heap) < self.minpts:
-            return INF
-        return -heap[0][0]
+        return self._core[x]
 
     def members(self, x):
-        """Current heap entries of x as (neighbor, distance) pairs."""
-        return [(y, -neg) for neg, y in self._heaps[x]]
+        """Current entries of x's set as (neighbor, distance) pairs."""
+        return list(self.dists[x].items())

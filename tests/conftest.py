@@ -50,6 +50,14 @@ def noisy_strings(n, rng, prototypes=10, length=16, edit_rate=0.2):
     return out
 
 
+def buffered_weight(buf, a, b):
+    """Weight a CandidateBuffer holds for the pair {a, b}, or None."""
+    lo, hi, w = buf.arrays()
+    a, b = min(a, b), max(a, b)
+    hit = np.flatnonzero((lo == a) & (hi == b))
+    return float(w[hit[0]]) if hit.size else None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fishdbc
-from conftest import canonical_labels, noisy_strings, two_blob_points
+from conftest import buffered_weight, canonical_labels, noisy_strings, two_blob_points
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
 from test_distances import loop_jaro_winkler
@@ -67,7 +67,7 @@ class TestSetup:
             engine.add(rng.random(2))
         assert len(engine._items) == 25
         assert len(engine._hnsw._layers[0]) == 25
-        assert len(engine._neighbors._heaps) == 25
+        assert len(engine._neighbors.dists) == 25
 
     def test_positional_and_removed_knobs_rejected(self):
         # Knobs are keyword-only, and the HNSW ones follow from minpts.
@@ -90,7 +90,7 @@ class TestAdd:
         engine.add(np.array([0.0, 0.0]))
         engine.add(np.array([3.0, 4.0]))
         assert engine.distance_calls == 1
-        assert engine._buf.get(0, 1) is not None
+        assert buffered_weight(engine._buf, 0, 1) is not None
 
     def test_ids_dense_in_insertion_order(self, rng):
         engine = FISHDBC(distances.euclidean, minpts=3)
@@ -166,7 +166,7 @@ class TestAdd:
         forest = {(lo, hi): w for lo, hi, w in engine.forest_edges()}
         for (i, j), d in pairs.items():
             expected = max(d, cores[i], cores[j])
-            stored = engine._buf.get(i, j)
+            stored = buffered_weight(engine._buf, i, j)
             if stored is None:
                 stored = forest.get((i, j))
             assert stored == expected, (i, j)
@@ -313,7 +313,7 @@ class TestStateSizeInvariant:
             def push(self, a, b, w):
                 key = (min(a, b), max(a, b))
                 super().push(a, b, w)
-                stored = self.get(*key)
+                stored = buffered_weight(self, *key)
                 if key in seen:
                     assert stored <= seen[key]
                 seen[key] = stored

@@ -19,6 +19,7 @@ def make_index(items, m=5, m0=10, ef=20, level_mult=None, seed=0, distance=eucli
         ef=ef,
         level_mult=level_mult,
         rng=np.random.default_rng(seed),
+        neighbor_dists={},
     )
 
 

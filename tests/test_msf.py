@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import buffered_weight
 from fishdbc.msf import CandidateBuffer, Msf, should_flush, update_msf
 
 
@@ -48,34 +49,34 @@ class TestCandidateBuffer:
     def test_new_pair_stored(self):
         buf = CandidateBuffer()
         buf.push(3, 1, 4.0)
-        assert buf.get(1, 3) == 4.0
+        assert buffered_weight(buf, 1, 3) == 4.0
         assert len(buf) == 1
 
     def test_push_higher_keeps_old(self):
         buf = CandidateBuffer()
         buf.push(0, 1, 4.0)
         buf.push(0, 1, 6.0)
-        assert buf.get(0, 1) == 4.0
+        assert buffered_weight(buf, 0, 1) == 4.0
 
     def test_push_lower_replaces(self):
         buf = CandidateBuffer()
         buf.push(0, 1, 4.0)
         buf.push(0, 1, 2.0)
-        assert buf.get(0, 1) == 2.0
+        assert buffered_weight(buf, 0, 1) == 2.0
 
     def test_weights_only_decrease(self, rng):
         buf = CandidateBuffer()
         prev = math.inf
         for _ in range(500):
             buf.push(0, 1, float(rng.random() * 100))
-            cur = buf.get(0, 1)
+            cur = buffered_weight(buf, 0, 1)
             assert cur <= prev
             prev = cur
 
     def test_infinite_weight_accepted(self):
         buf = CandidateBuffer()
         buf.push(0, 1, math.inf)
-        assert buf.get(0, 1) == math.inf
+        assert buffered_weight(buf, 0, 1) == math.inf
         assert len(buf) == 1
 
     def test_self_loop_rejected(self):

@@ -1,9 +1,78 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fishdbc.neighbors import NeighborStore
+
+INF = math.inf
+
+
+class HeapNeighborStore:
+    """The former heap-based store, kept as the reference for NeighborStore."""
+
+    def __init__(self, minpts):
+        if minpts < 2:
+            raise ValueError(f"minpts must be >= 2 (got {minpts})")
+        self.minpts = minpts
+        # Per item: a heap of (-distance, neighbor) plus a mirror dict
+        # neighbor -> distance for O(1) duplicate checks. Others may read
+        # ``dists`` (the HNSW reuses its distances) but never write it.
+        self._heaps = {}
+        self.dists = {}
+
+    def register(self, x):
+        if x in self._heaps:
+            raise ValueError(f"item {x} already registered")
+        self._heaps[x] = []
+        self.dists[x] = {}
+
+    def observe(self, x, y, v):
+        """Record that d(x, y) = v, updating x's heap only.
+
+        Returns ``(improved, evicted)`` where ``improved`` says whether x's
+        top-minpts set changed and ``evicted`` is the ``(neighbor, distance)``
+        entry pushed out of the heap, if any. Ties at the top evict only on
+        strict improvement.
+        """
+        if x == y:
+            raise ValueError("an item cannot be its own neighbor")
+        heap = self._heaps[x]
+        dists = self.dists[x]
+        old = dists.get(y)
+        if old is not None:
+            if v >= old:
+                return False, None
+            # Same pair re-observed with a smaller distance; rebuild.
+            heap.remove((-old, y))
+            heapq.heapify(heap)
+            heapq.heappush(heap, (-v, y))
+            dists[y] = v
+            return True, None
+        if len(heap) < self.minpts:
+            heapq.heappush(heap, (-v, y))
+            dists[y] = v
+            return True, None
+        top = -heap[0][0]
+        if v >= top:
+            return False, None
+        neg, evicted_id = heapq.heappushpop(heap, (-v, y))
+        dists[y] = v
+        del dists[evicted_id]
+        return True, (evicted_id, -neg)
+
+    def core_distance(self, x):
+        """Distance of x's minpts-th closest known neighbor; +inf if unknown."""
+        heap = self._heaps[x]
+        if len(heap) < self.minpts:
+            return INF
+        return -heap[0][0]
+
+    def members(self, x):
+        """Current heap entries of x as (neighbor, distance) pairs."""
+        return [(y, -neg) for neg, y in self._heaps[x]]
 
 
 def make_store(minpts, owner=0, distances=()):
@@ -39,6 +108,14 @@ class TestObserve:
         improved, _ = store.observe(0, 9, 3.0)
         assert not improved
 
+    def test_tied_farthest_evicts_lowest_id(self):
+        store = make_store(3, distances=[3.0, 3.0, 1.0])
+        improved, evicted = store.observe(0, 9, 2.0)
+        assert improved
+        assert evicted == (1000, 3.0)
+        assert sorted(store.members(0)) == [(9, 2.0), (1001, 3.0), (1002, 1.0)]
+        assert store.core_distance(0) == 3.0
+
     def test_duplicate_neighbor_keeps_smaller(self):
         store = NeighborStore(3)
         store.register(0)
@@ -48,6 +125,14 @@ class TestObserve:
         improved, _ = store.observe(0, 1, 2.0)
         assert improved
         assert store.members(0) == [(1, 2.0)]
+
+    def test_infinite_entry_lowered_while_underfull(self):
+        store = make_store(3, distances=[math.inf, 1.0])
+        improved, _ = store.observe(0, 1000, 2.0)
+        assert improved
+        assert store.core_distance(0) == math.inf
+        store.observe(0, 9, 3.0)
+        assert store.core_distance(0) == 3.0
 
     def test_self_neighbor_rejected(self):
         store = NeighborStore(2)
@@ -102,3 +187,30 @@ class TestCoreDistance:
             cur = store.core_distance(0)
             assert cur <= prev
             prev = cur
+
+
+# Few owners, few neighbor ids and integer distances 0-4: re-observed pairs
+# (with smaller and larger values) and ties at the core distance are common.
+steps = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 11), st.integers(0, 4)),
+    max_size=80,
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.integers(2, 5), steps)
+def test_matches_heap_reference(minpts, ops):
+    store, ref = NeighborStore(minpts), HeapNeighborStore(minpts)
+    for x in range(4):
+        store.register(x)
+        ref.register(x)
+    for x, y, v in ops:
+        v = float(v)
+        if x == y:
+            for s in (store, ref):
+                with pytest.raises(ValueError):
+                    s.observe(x, y, v)
+            continue
+        assert store.observe(x, y, v) == ref.observe(x, y, v)
+        assert store.core_distance(x) == ref.core_distance(x)
+        assert set(store.members(x)) == set(ref.members(x))

@@ -2,7 +2,7 @@
 
 The engine's promises hold for every input, not just the seeded fixtures:
 its forest is the exact minimum spanning forest of the pairs it computed,
-its heaps hold the exact core distances of those pairs, and a failing
+its neighbor sets hold the exact core distances of those pairs, and a failing
 distance function leaves no trace on later results. Every built-in distance
 is symmetric bit for bit, which reusing a known distance relies on.
 """
