@@ -203,6 +203,8 @@ def cmd_stream(args):
 
 
 def cmd_eval(args):
+    if args.sample_size < 1:
+        raise ValueError(f"--sample-size must be >= 1 (got {args.sample_size})")
     ref = dataio.read_labels(args.labels)
     pred = dataio.read_labels(args.pred)
     if ref.shape != pred.shape:
@@ -288,6 +290,9 @@ def cmd_oracle(args):
 
 
 def cmd_generate(args):
+    for flag in ("n", "dim", "centers", "clusters"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be >= 1 (got {getattr(args, flag)})")
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
     if args.kind == "blobs":

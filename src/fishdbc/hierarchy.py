@@ -179,24 +179,17 @@ def condense(dend, m_cs):
             w = weight[i]
             lam = INF if w == 0.0 else 1.0 / w
             l, r = left[i], right[i]
-            sl, sr = sizes[l], sizes[r]
-            if sl >= m_cs and sr >= m_cs:
-                clusters[cid].death_lambda = lam
+            clusters[cid].death_lambda = lam
+            if sizes[l] >= m_cs and sizes[r] >= m_cs:
                 for child in (l, r):
                     ncid = new_cluster(parent=cid, birth=lam, size=sizes[child])
                     todo.append((child, ncid))
-            elif sl >= m_cs:
-                shed(r, cid, lam)
-                clusters[cid].death_lambda = lam
-                todo.append((l, cid))
-            elif sr >= m_cs:
-                shed(l, cid, lam)
-                clusters[cid].death_lambda = lam
-                todo.append((r, cid))
             else:
-                shed(l, cid, lam)
-                shed(r, cid, lam)
-                clusters[cid].death_lambda = lam
+                for child in (l, r):
+                    if sizes[child] >= m_cs:
+                        todo.append((child, cid))
+                    else:
+                        shed(child, cid, lam)
 
     tree = CondensedTree(
         n_points=n, clusters=clusters, events=events, single_root=not multi

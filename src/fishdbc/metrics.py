@@ -195,6 +195,8 @@ def sampled_pair_distances(items, labels, distance, sample_size, rng):
     A side whose pair population is empty (no cluster with two members, or a
     single cluster) comes back as NaN; it is an error when both are empty.
     """
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1 (got {sample_size})")
     groups = _cluster_indices(labels)
     intra_groups = [idx for idx in groups.values() if len(idx) >= 2]
     can_intra = bool(intra_groups)

@@ -1,7 +1,7 @@
 """Approximate minimum spanning forest maintenance.
 
-New reachability edges accumulate in a bounded candidate buffer; flushing
-runs Kruskal over the union of the current forest and the buffer. Flushing
+New reachability edges accumulate in a bounded candidate buffer; a flush
+runs ``spanning_forest`` over the current forest plus the buffer. Flushing
 is safe at any point between insertions: a minimum spanning forest can be
 built incrementally from edge batches without changing the final result.
 """
@@ -10,7 +10,7 @@ import numpy as np
 
 from . import _accel
 
-__all__ = ["CandidateBuffer", "Msf", "should_flush", "update_msf"]
+__all__ = ["CandidateBuffer", "Msf", "should_flush", "spanning_forest", "update_msf"]
 
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
@@ -78,22 +78,29 @@ def should_flush(buffer_len, n, alpha):
     return buffer_len > alpha * n
 
 
-def update_msf(msf, buf, n):
-    """Replace msf with a minimum spanning forest of msf's edges plus the
-    buffer's, then empty the buffer. Infinite-weight edges are discarded:
-    they can never affect the extracted clustering.
+def spanning_forest(lo, hi, w, n):
+    """Minimum spanning forest of the edges (lo[k], hi[k], w[k]) over nodes
+    0..n-1: the one forest step of the engine's flush and of the oracle.
+
+    Non-finite edges are dropped, as they never affect the clustering. The
+    rest are swept by Kruskal in (w, lo, hi) order, which fixes how weight
+    ties break; the kept int64 lo, hi and float64 w come back in that order.
     """
-    blo, bhi, bw = buf.arrays()
-    lo = np.concatenate([msf.lo, blo])
-    hi = np.concatenate([msf.hi, bhi])
-    w = np.concatenate([msf.weight, bw])
     finite = np.isfinite(w)
     if not finite.all():
         lo, hi, w = lo[finite], hi[finite], w[finite]
     order = np.lexsort((hi, lo, w))
     lo, hi, w = lo[order], hi[order], w[order]
     keep = _accel.kruskal_mask(lo, hi, n)
-    msf.lo = np.ascontiguousarray(lo[keep])
-    msf.hi = np.ascontiguousarray(hi[keep])
-    msf.weight = np.ascontiguousarray(w[keep])
+    return lo[keep], hi[keep], w[keep]
+
+
+def update_msf(msf, buf, n):
+    """Replace msf with a minimum spanning forest of msf's edges plus the
+    buffer's, then empty the buffer."""
+    blo, bhi, bw = buf.arrays()
+    lo = np.concatenate([msf.lo, blo])
+    hi = np.concatenate([msf.hi, bhi])
+    w = np.concatenate([msf.weight, bw])
+    msf.lo, msf.hi, msf.weight = spanning_forest(lo, hi, w, n)
     buf.clear()

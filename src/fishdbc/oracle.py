@@ -1,17 +1,21 @@
 """Exact, non-incremental density-based clustering on a distance matrix.
 
-Ground truth for equivalence testing: quadratic by design, shares the
-hierarchy pipeline with the incremental engine so that comparisons isolate
-the spanning-forest construction. Matrix entries may be +inf (unknown /
-masked pairs); infinite edges never affect the result.
+Ground truth for equivalence testing, quadratic by design. It shares with
+the incremental engine only what turns edges into clusters: the forest step
+(``msf.spanning_forest``: the (weight, lo, hi) tie rule and Kruskal) and the
+hierarchy (dendrogram, condensed tree, flat labels). What it checks stays
+independent: core distances are exact over the full matrix, every finite
+pair is a candidate edge, and the forest is built in one batch. Matrix
+entries may be +inf (unknown / masked pairs); infinite edges never affect
+the result. Each public call validates its matrix once.
 """
 
 import math
 
 import numpy as np
 
-from . import _accel
 from .hierarchy import build_dendrogram, condense, extract_flat
+from .msf import spanning_forest
 
 __all__ = [
     "MAX_N",
@@ -69,36 +73,24 @@ def mutual_reachability(matrix, cores):
 
 
 def exact_msf(matrix, minpts):
-    """Minimum spanning forest of the mutual reachability graph.
-
-    Exhaustive over all finite pairs; ties broken by (weight, lo, hi) to
-    mirror the incremental engine. Returns (lo, hi, weight) arrays.
+    """Minimum spanning forest of the mutual reachability graph over every
+    finite pair, as (lo, hi, weight) arrays in (weight, lo, hi) order.
     """
-    m = _validated(matrix)
-    n = m.shape[0]
-    cores = exact_core_distances(m, minpts)
-    mr = mutual_reachability(m, cores)
+    cores = exact_core_distances(matrix, minpts)  # validates the matrix
+    n = cores.shape[0]
+    mr = mutual_reachability(matrix, cores)
     lo, hi = np.triu_indices(n, k=1)
-    w = mr[lo, hi]
-    finite = np.isfinite(w)
-    lo, hi, w = lo[finite], hi[finite], w[finite]
-    order = np.lexsort((hi, lo, w))
-    lo = np.ascontiguousarray(lo[order], dtype=np.int64)
-    hi = np.ascontiguousarray(hi[order], dtype=np.int64)
-    w = np.ascontiguousarray(w[order])
-    keep = _accel.kruskal_mask(lo, hi, n)
-    return lo[keep], hi[keep], w[keep]
+    return spanning_forest(lo, hi, mr[lo, hi], n)
 
 
 def exact_cluster(matrix, minpts, m_cs=None):
     """Full pipeline: reachability MSF, condensed tree, flat labels."""
-    m = _validated(matrix)
-    n = m.shape[0]
+    lo, hi, w = exact_msf(matrix, minpts)
+    n = len(matrix)
     if n < 1:
         raise ValueError("need at least one item")
     if m_cs is None:
         m_cs = minpts
-    lo, hi, w = exact_msf(m, minpts)
     dend = build_dendrogram(lo, hi, w, n)
     return extract_flat(condense(dend, m_cs))
 

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import canonical_labels
+from helpers import canonical_labels
 from fishdbc import FISHDBC, dataio, distances, metrics, oracle
 from fishdbc.hierarchy import build_dendrogram, condense, extract_flat
 from fishdbc.msf import CandidateBuffer, Msf, update_msf

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import canonical_labels, write_matrix
+from helpers import canonical_labels, write_matrix
 from fishdbc import dataio
 from fishdbc.cli import _make_engine, build_parser, main
 
@@ -337,6 +337,18 @@ class TestEvalCommand:
         assert "intra_cluster=" in text
         assert "silhouette=" in text
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_size_below_one_rejected(self, tmp_path, capsys, size):
+        # Rejected as a usage error before any file is read: none exists.
+        missing = str(tmp_path / "missing.csv")
+        code = main([
+            "eval", "--pred", missing, "--labels", missing, "--input", missing,
+            "--format", "dense-csv", "--distance", "euclidean",
+            "--sample-size", size,
+        ])
+        assert code == 1
+        assert "--sample-size" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_matrix_two_blobs(self, tmp_path, capsys):
@@ -427,6 +439,24 @@ class TestGenerateCommand:
         assert code == 0
         data = list(dataio.read_dataset("set-lines", out / "data.txt"))
         assert len(data) == 30
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("blobs", "--n", "-1"),
+        ("blobs", "--n", "0"),
+        ("blobs", "--dim", "0"),
+        ("blobs", "--centers", "0"),
+        ("transactions", "--dim", "0"),
+        ("transactions", "--clusters", "0"),
+    ])
+    def test_sizes_below_one_rejected(self, tmp_path, capsys, kind, flag, value):
+        args = {"--n": "20", "--dim": "4", "--centers": "3", "--clusters": "2"}
+        args[flag] = value
+        out = tmp_path / "g"
+        code = main(["generate", "--kind", kind, "--out", str(out)]
+                    + [tok for item in args.items() for tok in item])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_then_cluster_round_trip(self, tmp_path):
         out = tmp_path / "g"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import noisy_strings
+from helpers import noisy_strings
 from fishdbc import distances
 
 

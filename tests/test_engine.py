@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fishdbc
-from conftest import buffered_weight, canonical_labels, noisy_strings, two_blob_points
+from helpers import buffered_weight, canonical_labels, noisy_strings, two_blob_points
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
 from test_distances import loop_jaro_winkler

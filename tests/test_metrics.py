@@ -212,6 +212,13 @@ class TestSampledPairDistances:
                 [np.zeros(2)], [0], distances.euclidean, 10, rng
             )
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_sample_size_below_one_rejected(self, rng, size):
+        with pytest.raises(ValueError, match="sample_size"):
+            metrics.sampled_pair_distances(
+                [np.zeros(2), np.ones(2)], [0, 0], distances.euclidean, size, rng
+            )
+
     def test_sampled_close_to_exact(self, rng):
         points = rng.random((24, 2)) * 3
         labels = (rng.integers(0, 3, size=24)).tolist()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import buffered_weight
-from fishdbc.msf import CandidateBuffer, Msf, should_flush, update_msf
+from helpers import buffered_weight
+from fishdbc.msf import CandidateBuffer, Msf, should_flush, spanning_forest, update_msf
 
 
 def simple_kruskal(edges, n):
@@ -152,25 +152,40 @@ class TestUpdateMsf:
 
     def test_tied_weights_match_kruskal_edge_for_edge(self, rng):
         # Integer weights tie heavily, so only the (w, lo, hi) tie-break
-        # decides which edges a one-shot or a batched flush keeps.
+        # decides which edges spanning_forest and a one-shot or a batched
+        # flush keep. Trial 0 is a complete graph, trial 1 has no edges, and
+        # every other trial also holds one infinite edge, which all must drop.
         for trial in range(20):
             n = int(rng.integers(5, 60))
             lo_all, hi_all = np.triu_indices(n, 1)
-            m = lo_all.size if trial == 0 else int(rng.integers(1, lo_all.size + 1))
+            if trial < 2:
+                m = lo_all.size if trial == 0 else 0
+            else:
+                m = int(rng.integers(1, lo_all.size + 1))
             pick = rng.choice(lo_all.size, size=m, replace=False)
             edges = [
                 (int(lo_all[k]), int(hi_all[k]), float(rng.integers(0, 4)))
                 for k in pick
             ]
+            if trial >= 2:
+                k = int(rng.integers(lo_all.size))
+                edges.append((int(lo_all[k]), int(hi_all[k]), math.inf))
             want = simple_kruskal(edges, n)
             if trial == 0:
                 assert len(want) == n - 1  # the complete graph spans
+            lo = np.array([e[0] for e in edges], dtype=np.int64)
+            hi = np.array([e[1] for e in edges], dtype=np.int64)
+            w = np.array([e[2] for e in edges], dtype=np.float64)
+            got = spanning_forest(lo, hi, w, n)
+            assert list(zip(*(a.tolist() for a in got))) == want
+            for a in got[:2]:
+                assert a.dtype == np.int64 and a.flags.c_contiguous
             oneshot, batched = Msf(), Msf()
             buf = CandidateBuffer()
             for edge in edges:
                 buf.push(*edge)
             update_msf(oneshot, buf, n)
-            for batch in np.array_split(np.arange(m), int(rng.integers(2, 7))):
+            for batch in np.array_split(np.arange(len(edges)), int(rng.integers(2, 7))):
                 for k in batch:
                     buf.push(*edges[k])
                 update_msf(batched, buf, n)

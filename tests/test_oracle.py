@@ -5,7 +5,7 @@ import pytest
 from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
-from conftest import canonical_labels, write_matrix
+from helpers import canonical_labels, write_matrix
 from fishdbc import dataio, oracle
 from fishdbc.hierarchy import build_dendrogram
 
@@ -92,6 +92,15 @@ class TestValidation:
         m = np.eye(3)
         with pytest.raises(ValueError, match="diagonal"):
             oracle.exact_cluster(m, 2)
+
+    def test_matrix_validated_once_per_call(self, rng, monkeypatch):
+        # A check is a full pass over the matrix; exact_cluster runs
+        # exact_msf and exact_core_distances but must pay for it once.
+        calls = []
+        real = oracle._validated
+        monkeypatch.setattr(oracle, "_validated", lambda m: calls.append(1) or real(m))
+        oracle.exact_cluster(pairwise_euclidean(rng.random((12, 2))), minpts=3)
+        assert len(calls) == 1
 
     def test_refuses_large_matrices(self):
         m = np.zeros((oracle.MAX_N + 1, oracle.MAX_N + 1))

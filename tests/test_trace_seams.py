@@ -2,8 +2,9 @@
 
 The tracer replaces each of these by name with a timing wrapper, so renaming
 or removing one breaks ``fishbench/run.py --trace 1`` with an AttributeError.
-Its own tests are outside this suite's test paths; this keeps the names in
-view without importing the benchmark.
+The benchmark's own tests (``fishbench/tests``, in the same test paths) run
+the tracer end to end; this names each seam on its own and needs nothing
+from the benchmark package.
 """
 
 import pytest
