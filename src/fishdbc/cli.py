@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 data error.
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -205,6 +206,9 @@ def cmd_stream(args):
 def cmd_eval(args):
     if args.sample_size < 1:
         raise ValueError(f"--sample-size must be >= 1 (got {args.sample_size})")
+    # Silhouette needs two clustered items, so a smaller cap could only skip.
+    if args.silhouette_cap < 2:
+        raise ValueError(f"--silhouette-cap must be >= 2 (got {args.silhouette_cap})")
     ref = dataio.read_labels(args.labels)
     pred = dataio.read_labels(args.pred)
     if ref.shape != pred.shape:
@@ -293,6 +297,10 @@ def cmd_generate(args):
     for flag in ("n", "dim", "centers", "clusters"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be >= 1 (got {getattr(args, flag)})")
+    if not 0.0 <= args.std < math.inf:  # catches NaN too
+        raise ValueError(f"--std must be finite and >= 0 (got {args.std})")
+    if not 0.0 < args.fill <= 1.0:
+        raise ValueError(f"--fill must be in (0, 1] (got {args.fill})")
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
     if args.kind == "blobs":

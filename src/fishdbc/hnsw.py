@@ -12,13 +12,20 @@ only finds the entry point for the next layer down, and with the
 construction width ``ef`` at and below that level, where its result is
 pruned by the selection heuristic into the item's links.
 
-No distance is paid for twice. Within one insertion each unordered pair
-reaches the distance function at most once; a repeat returns the stored
-value, which relies on the distance being symmetric and deterministic. The
-selection heuristic also compares pairs of existing items, and takes their
-distance from the layer-0 links or from the caller's neighbor sets when
-either holds it: those values came from earlier insertions' triples, so the
-pair is neither evaluated nor reported again.
+No distance is paid for twice while it is held. Within one insertion each
+unordered pair reaches the distance function at most once; a repeat returns
+the stored value, which relies on the distance being symmetric and
+deterministic. The selection heuristic also compares pairs of existing
+items, and takes their distance from the layer-0 links, from the caller's
+neighbor sets or from a bounded cache of the pairs that earlier
+insertions' heuristics compared (the ones Malkov & Yashunin's Alg. 4 keeps
+coming back to) when any of them holds it: those values came from earlier
+insertions' triples, so the pair is neither evaluated nor reported again.
+The cache is two generations of ``{lo << 32 | hi: distance}``: each
+insertion's heuristic pairs, found or evaluated, join the recent one when
+the insertion commits, and once that holds more than 2n pairs it becomes
+the older one and the older one is dropped. So at most 4n pairs, plus one
+insertion's, are held.
 
 The search evaluates a node's unvisited neighbors together, as hnswlib and
 Malkov & Yashunin's Alg. 2 do. When the distance has a batched form
@@ -52,11 +59,14 @@ class _Recorder:
     pair yields exactly one triple. ``many`` evaluates one item against a
     list of others, in one call of the distance's batched form when it has
     one (``distances.MANY``) and two or more of the pairs are unknown.
+    ``cached`` also reads the index's pair cache (``recent``, ``older``;
+    empty by default) and collects the pairs it serves in ``served``,
+    which only the insertion's commit writes back.
     """
 
-    __slots__ = ("fn", "batched", "items", "raw", "memo")
+    __slots__ = ("fn", "batched", "items", "raw", "memo", "recent", "older", "served")
 
-    def __init__(self, fn, items):
+    def __init__(self, fn, items, recent=_EMPTY, older=_EMPTY):
         self.fn = fn
         try:
             self.batched = MANY.get(fn)
@@ -65,6 +75,9 @@ class _Recorder:
         self.items = items
         self.raw = 0
         self.memo = {}
+        self.recent = recent
+        self.older = older
+        self.served = {}
 
     def __call__(self, a, b):
         key = (a, b) if a < b else (b, a)
@@ -76,6 +89,23 @@ class _Recorder:
             _reject(a, b, v)
         self.raw += 1
         self.memo[key] = v
+        return v
+
+    def cached(self, a, b):
+        """``self(a, b)`` for a pair of existing items, read from the pair
+        cache (``recent``, then ``older``) when it holds the pair.
+
+        A cache hit is neither counted in ``raw`` nor tapped: an earlier
+        insertion reported the pair. Every pair served here, hit or
+        evaluated, is collected in ``served`` for the insertion's commit.
+        """
+        packed = a << 32 | b if a < b else b << 32 | a
+        v = self.recent.get(packed)
+        if v is None:
+            v = self.older.get(packed)
+            if v is None:
+                v = self(a, b)
+        self.served[packed] = v
         return v
 
     def many(self, a, ids):
@@ -134,6 +164,9 @@ class Hnsw:
         self._rng = rng
         self._layers = []  # layer 0 first; each: {node: {neighbor: dist}}
         self._entry = None
+        # Two generations of heuristic pairs, keyed lo << 32 | hi.
+        self._recent = {}
+        self._older = {}
 
     # Every inserted node is in layer 0; there are no layers before the
     # first insert.
@@ -150,12 +183,14 @@ class Hnsw:
         Returns ``(triples, raw_calls)``: one (a, b, distance) triple, a < b,
         per pair the insertion evaluated, and the number of calls made to
         the distance function, which equals the number of triples. Pairs
-        whose distance was read from the layer-0 links or
-        ``neighbor_dists`` are neither evaluated nor reported.
+        whose distance was read from the layer-0 links, ``neighbor_dists``
+        or the pair cache are neither evaluated nor reported. The pair
+        cache is written only once the insertion has made all its distance
+        calls, so a failed insertion leaves it as it was.
         """
         if x in self:
             raise ValueError(f"item {x} already inserted")
-        rec = _Recorder(self._distance, self._items)
+        rec = _Recorder(self._distance, self._items, self._recent, self._older)
         # A failed insertion must not spend its level draw: later levels,
         # and with them every later result, would depend on the failure.
         rng_state = self._rng.bit_generator.state
@@ -178,6 +213,11 @@ class Hnsw:
         while len(self._layers) <= level:
             self._layers.append({x: {}})
             self._entry = x
+        recent = self._recent
+        recent.update(rec.served)
+        if len(recent) > 2 * len(self._layers[0]):
+            self._older = recent
+            self._recent = {}
         return rec.finish()
 
     def _stage(self, x, level, rec):
@@ -253,8 +293,8 @@ class Hnsw:
 
         ``candidates`` must be sorted ascending (dist-to-base, node); the
         kept subset (same representation) is returned. A candidate-to-kept
-        distance the layer-0 links or the neighbor sets hold is read, not
-        evaluated.
+        distance the layer-0 links, the neighbor sets or the pair cache
+        hold is read, not evaluated.
         """
         if len(candidates) <= cap:
             return list(candidates)
@@ -274,7 +314,7 @@ class Hnsw:
                 if d is None:
                     d = near.get(k, _EMPTY).get(c)
                 if d is None:
-                    d = rec(c, k)
+                    d = rec.cached(c, k)
                 if d < d_c:
                     good = False
                     break

@@ -337,17 +337,22 @@ class TestEvalCommand:
         assert "intra_cluster=" in text
         assert "silhouette=" in text
 
-    @pytest.mark.parametrize("size", ["0", "-3"])
-    def test_sample_size_below_one_rejected(self, tmp_path, capsys, size):
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--sample-size", "0", id="0"),
+        pytest.param("--sample-size", "-3", id="-3"),
+        ("--silhouette-cap", "1"),
+        ("--silhouette-cap", "0"),
+        ("--silhouette-cap", "-5"),
+    ])
+    def test_sample_size_below_one_rejected(self, tmp_path, capsys, flag, value):
         # Rejected as a usage error before any file is read: none exists.
         missing = str(tmp_path / "missing.csv")
         code = main([
             "eval", "--pred", missing, "--labels", missing, "--input", missing,
-            "--format", "dense-csv", "--distance", "euclidean",
-            "--sample-size", size,
+            "--format", "dense-csv", "--distance", "euclidean", flag, value,
         ])
         assert code == 1
-        assert "--sample-size" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 class TestOracleCommand:
@@ -447,6 +452,13 @@ class TestGenerateCommand:
         ("blobs", "--centers", "0"),
         ("transactions", "--dim", "0"),
         ("transactions", "--clusters", "0"),
+        ("blobs", "--std", "-1"),
+        ("blobs", "--std", "nan"),
+        ("blobs", "--std", "inf"),
+        ("transactions", "--fill", "0"),
+        ("transactions", "--fill", "1.5"),
+        ("transactions", "--fill", "-0.5"),
+        ("transactions", "--fill", "nan"),
     ])
     def test_sizes_below_one_rejected(self, tmp_path, capsys, kind, flag, value):
         args = {"--n": "20", "--dim": "4", "--centers": "3", "--clusters": "2"}

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fishdbc import distances
-from fishdbc.distances import DistanceError, euclidean
+from helpers import noisy_strings
+from fishdbc import FISHDBC, distances, hnsw
+from fishdbc.distances import DistanceError, euclidean, jaro_winkler
 from fishdbc.hnsw import Hnsw, _Recorder
 
 
@@ -288,6 +289,129 @@ class TestBatchedTap:
             # only the built-in function fails inside a batch
             assert bool(batches) == (distance is euclidean)
         assert errors[0] == errors[1]
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Every _Recorder the index builds, newest last."""
+    made = []
+
+    class Spy(_Recorder):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(hnsw, "_Recorder", Spy)
+    return made
+
+
+def _held(idx):
+    """The pairs an index's cache holds, as packed keys."""
+    return {*idx._recent, *idx._older}
+
+
+class TestPairCache:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_outputs_as_without_the_cache(self, monkeypatch, seed):
+        strings = noisy_strings(400, np.random.default_rng(seed))
+        taps = {}
+        insert = Hnsw.insert
+
+        def tapped(self, x):
+            held = _held(self)
+            out = insert(self, x)
+            taps.setdefault(self, []).append((out[0], held))
+            return out
+
+        monkeypatch.setattr(Hnsw, "insert", tapped)
+        engine = FISHDBC(jaro_winkler, rng_seed=seed, record_pairs=True)
+        reference = FISHDBC(jaro_winkler, rng_seed=seed, record_pairs=True)
+        for s in strings:
+            engine.add(s)
+            reference._hnsw._recent.clear()
+            reference._hnsw._older.clear()
+            reference.add(s)
+        # Each insertion reports what the reference reports, in the same
+        # order, less the pairs its cache held; those an earlier
+        # insertion reported.
+        reported = set()
+        served = 0
+        for (got, held), (want, _) in zip(taps[engine._hnsw], taps[reference._hnsw]):
+            assert got == [t for t in want if t[0] << 32 | t[1] not in held]
+            hits = {t[0] << 32 | t[1] for t in want} & held
+            assert hits <= reported
+            served += len(hits)
+            reported |= {t[0] << 32 | t[1] for t in want}
+        assert served > 0
+        assert engine._neighbors.dists == reference._neighbors.dists
+        assert engine.cluster().labels.tolist() == reference.cluster().labels.tolist()
+        assert engine.forest_edges() == reference.forest_edges()
+        assert engine.pair_log() == reference.pair_log()
+        assert engine.distance_calls < reference.distance_calls
+
+    def test_held_pairs_never_reach_the_distance(self, rng, recorders):
+        evaluated = []
+
+        def logging_distance(a, b):
+            evaluated.append((a[0], b[0]) if a[0] < b[0] else (b[0], a[0]))
+            return euclidean(a[1], b[1])
+
+        items = [(i, rng.random(2)) for i in range(300)]
+        idx = make_index(items, distance=logging_distance, seed=13)
+        served = 0
+        for i in range(300):
+            held = _held(idx)
+            evaluated.clear()
+            triples, raw = idx.insert(i)
+            assert held.isdisjoint(a << 32 | b for a, b in evaluated)
+            assert held.isdisjoint(a << 32 | b for a, b, _ in triples)
+            served += len(held & recorders[-1].served.keys())
+        assert served > 0
+
+    def test_cache_holds_at_most_four_n_pairs_plus_one_insertion(self, rng, recorders):
+        items = [rng.random(3) for _ in range(400)]
+        idx = make_index(items, seed=14)
+        rotations = 0
+        extra = 0  # pairs of the insertion that made the older generation
+        for i in range(400):
+            older = idx._older
+            idx.insert(i)
+            n = i + 1
+            if idx._older is not older:
+                rotations += 1
+                extra = len(recorders[-1].served)
+                assert not idx._recent
+            assert len(idx._recent) <= 2 * n
+            assert len(idx._recent) + len(idx._older) <= 4 * n + extra
+        assert rotations >= 2
+
+    def test_failed_add_leaves_the_cache_unchanged(self, recorders):
+        strings = noisy_strings(300, np.random.default_rng(3))
+        probe = FISHDBC(jaro_winkler, rng_seed=3)
+        engine = FISHDBC(jaro_winkler, rng_seed=3)
+        for s in strings[:-1]:
+            probe.add(s)
+            engine.add(s)
+        probe.add(strings[-1])
+        calls = recorders[-1].raw
+        # The last insertion takes pairs from the cache.
+        evaluated = {a << 32 | b for a, b in recorders[-1].memo}
+        assert recorders[-1].served.keys() - evaluated
+        count = [0]
+
+        def fails_last(a, b):
+            count[0] += 1
+            return math.nan if count[0] == calls else jaro_winkler(a, b)
+
+        recent, older = dict(engine._hnsw._recent), dict(engine._hnsw._older)
+        engine._hnsw._distance = fails_last
+        with pytest.raises(DistanceError):
+            engine.add(strings[-1])
+        assert recorders[-1].served  # pairs were collected, not committed
+        assert engine._hnsw._recent == recent
+        assert engine._hnsw._older == older
 
 
 class TestAtomicity:
