@@ -43,14 +43,15 @@ class FISHDBC:
                  alpha=32.0, rng_seed=0, record_pairs=False):
         # NeighborStore rejects minpts < 2 before math.log(minpts) runs.
         self._neighbors = NeighborStore(minpts)
-        if ef < 1:
+        # Each bound is written so that NaN fails it.
+        if not ef >= 1:
             raise ValueError(f"ef must be >= 1 (got {ef})")
         if min_cluster_size is None:
             min_cluster_size = minpts
-        if min_cluster_size < 2:
+        if not min_cluster_size >= 2:
             raise ValueError(f"min_cluster_size must be >= 2 (got {min_cluster_size})")
-        if alpha < 1:
-            raise ValueError(f"alpha must be >= 1 (got {alpha})")
+        if not 1 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 1 (got {alpha})")
         self.min_cluster_size = min_cluster_size
         self.alpha = alpha
         self._items = []
@@ -117,22 +118,31 @@ class FISHDBC:
         self._distance_calls += raw
         ns = self._neighbors
         ns.register(x)
+        core = ns.core
+        observe = ns.observe
+        buf = self._buf
+        push = buf.push
 
         # Phase 1: neighbor set updates for both endpoints of every triple.
-        # Track whose top-minpts set changed and what fell out.
+        # Track whose top-minpts set changed and what fell out. The values
+        # are finite, and ``observe`` returns (False, None) and changes
+        # nothing when offered v >= core[x], so only a distance below the
+        # endpoint's core distance is offered to its set.
         changed = {}
         evictions = []
         for a, b, v in triples:
-            improved, ev = ns.observe(a, b, v)
-            if improved:
-                changed[a] = True
-                if ev is not None:
-                    evictions.append((a, ev[0], ev[1]))
-            improved, ev = ns.observe(b, a, v)
-            if improved:
-                changed[b] = True
-                if ev is not None:
-                    evictions.append((b, ev[0], ev[1]))
+            if v < core[a]:
+                improved, ev = observe(a, b, v)
+                if improved:
+                    changed[a] = True
+                    if ev is not None:
+                        evictions.append((a, ev[0], ev[1]))
+            if v < core[b]:
+                improved, ev = observe(b, a, v)
+                if improved:
+                    changed[b] = True
+                    if ev is not None:
+                        evictions.append((b, ev[0], ev[1]))
 
         if self._pairs is not None:
             log = self._pairs
@@ -143,26 +153,25 @@ class FISHDBC:
                     log[key] = v
 
         # Phase 2: candidate edges, all weighted with the settled cores.
-        buf = self._buf
-        core = ns.core_distance
         before = len(buf)
         for a, b, v in chain(triples, evictions):
             w = v
-            c = core(a)
+            c = core[a]
             if c > w:
                 w = c
-            c = core(b)
+            c = core[b]
             if c > w:
                 w = c
-            buf.push(a, b, w)
+            push(a, b, w)
+        dists = ns.dists
         for y in changed:
-            cy = core(y)
-            for z, d in ns.members(y):
+            cy = core[y]
+            for z, d in dists[y].items():
                 w = d if d > cy else cy
-                cz = core(z)
+                cz = core[z]
                 if cz > w:
                     w = cz
-                buf.push(y, z, w)
+                push(y, z, w)
         self.last_add_pushes = len(buf) - before
 
         if should_flush(len(buf), len(self._items), self.alpha):
@@ -186,7 +195,7 @@ class FISHDBC:
         if not self._items:
             raise ValueError("nothing to cluster: no items added")
         m_cs = self.min_cluster_size if min_cluster_size is None else min_cluster_size
-        if m_cs < 2:
+        if not m_cs >= 2:
             raise ValueError(f"min cluster size must be >= 2 (got {m_cs})")
         self.flush()
         n = len(self._items)

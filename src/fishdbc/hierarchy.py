@@ -121,7 +121,7 @@ def condense(dend, m_cs):
     events and the cluster identity continues down the other side; when both
     sides are undersized, all remaining points fall out and the cluster ends.
     """
-    if m_cs < 2:
+    if not m_cs >= 2:
         raise ValueError(f"min cluster size must be >= 2 (got {m_cs})")
     n = dend.n_points
     left = dend.left.tolist()

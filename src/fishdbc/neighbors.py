@@ -1,9 +1,11 @@
 """Per-item bounded sets of the closest discovered neighbors.
 
 Each item keeps its ``minpts`` closest neighbors seen so far in one
-``{neighbor: distance}`` dict, and a stored core distance: +inf until the set
-is full, then the largest distance in it. That rule makes core distances
-monotone non-increasing over the store's lifetime.
+``{neighbor: distance}`` dict (``NeighborStore.dists``), and a stored core
+distance (``NeighborStore.core``): +inf until the set is full, then the
+largest distance in it. That rule makes core distances monotone
+non-increasing over the store's lifetime. Others read both dicts directly;
+only the store writes them.
 """
 
 import math
@@ -14,20 +16,25 @@ INF = math.inf
 
 
 class NeighborStore:
+    """Bounded neighbor sets and core distances, keyed by item id.
+
+    ``dists`` maps item -> {neighbor: distance} and ``core`` maps item ->
+    core distance. Others may read both (the HNSW reuses the distances, the
+    engine reads cores without a call) but never write them.
+    """
+
     def __init__(self, minpts):
-        if minpts < 2:
+        if not minpts >= 2:
             raise ValueError(f"minpts must be >= 2 (got {minpts})")
         self.minpts = minpts
-        # item -> {neighbor: distance}. Others may read ``dists`` (the HNSW
-        # reuses its distances) but never write it.
         self.dists = {}
-        self._core = {}
+        self.core = {}
 
     def register(self, x):
         if x in self.dists:
             raise ValueError(f"item {x} already registered")
         self.dists[x] = {}
-        self._core[x] = INF
+        self.core[x] = INF
 
     def observe(self, x, y, v):
         """Record that d(x, y) = v, updating x's set only.
@@ -36,6 +43,9 @@ class NeighborStore:
         top-minpts set changed and ``evicted`` is the ``(neighbor, distance)``
         entry pushed out of the set, if any. Only a strict improvement on the
         core distance evicts; of equally far entries, the lowest id goes.
+        For a finite ``v >= core[x]`` the result is ``(False, None)`` and
+        nothing changes: an underfull set has core +inf, and a member y of
+        a full set has d(x, y) <= core[x] <= v.
         """
         if x == y:
             raise ValueError("an item cannot be its own neighbor")
@@ -47,26 +57,26 @@ class NeighborStore:
             # Same pair re-observed with a smaller distance. Only a full
             # set's core can move; an underfull one stays at +inf.
             near[y] = v
-            if len(near) == self.minpts and old == self._core[x]:
-                self._core[x] = max(near.values())
+            if len(near) == self.minpts and old == self.core[x]:
+                self.core[x] = max(near.values())
             return True, None
         if len(near) < self.minpts:
             near[y] = v
             if len(near) == self.minpts:
-                self._core[x] = max(near.values())
+                self.core[x] = max(near.values())
             return True, None
-        core = self._core[x]
+        core = self.core[x]
         if v >= core:
             return False, None
         evicted = min(z for z, d in near.items() if d == core)
         del near[evicted]
         near[y] = v
-        self._core[x] = max(near.values())
+        self.core[x] = max(near.values())
         return True, (evicted, core)
 
     def core_distance(self, x):
         """Distance of x's minpts-th closest known neighbor; +inf if unknown."""
-        return self._core[x]
+        return self.core[x]
 
     def members(self, x):
         """Current entries of x's set as (neighbor, distance) pairs."""

@@ -68,11 +68,12 @@ class TestClusterCommand:
 
     def test_bad_config_exit_1(self, tmp_path):
         data, _ = write_blobs(tmp_path)
-        code = main([
-            "cluster", "--input", str(data), "--format", "dense-csv",
-            "--distance", "euclidean", "--minpts", "1", "--out", str(tmp_path / "x"),
-        ])
-        assert code == 1
+        for bad in (["--minpts", "1"], ["--alpha", "nan"]):
+            code = main([
+                "cluster", "--input", str(data), "--format", "dense-csv",
+                "--distance", "euclidean", *bad, "--out", str(tmp_path / "x"),
+            ])
+            assert code == 1, bad
 
     def test_seed_reproducibility_byte_identical(self, tmp_path):
         data, _ = write_blobs(tmp_path)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import fishdbc
 from helpers import buffered_weight, canonical_labels, noisy_strings, two_blob_points
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
+from fishdbc.msf import should_flush
 from test_distances import loop_jaro_winkler
 
 
@@ -36,6 +38,11 @@ class TestConfig:
             ({"ef": 0}, "ef"),
             ({"min_cluster_size": 1}, "min_cluster_size"),
             ({"alpha": 0.5}, "alpha"),
+            ({"alpha": math.nan}, "alpha"),
+            ({"alpha": math.inf}, "alpha"),
+            ({"ef": math.nan}, "ef"),
+            ({"minpts": math.nan}, "minpts"),
+            ({"min_cluster_size": math.nan}, "min_cluster_size"),
         ],
     )
     def test_bounds_reported(self, kwargs, fragment):
@@ -444,6 +451,108 @@ class TestJaroWinklerKernel:
                 engine.add(s)
             states.append(TestBatchedTap.state(engine))
         assert states[0] == states[1]
+
+
+class ReferenceFISHDBC(FISHDBC):
+    """The former ``add``, kept as the reference for FISHDBC.add: every
+    triple is offered to both endpoints' sets, and cores and members are
+    read through ``core_distance()`` and ``members()``."""
+
+    def add(self, payload):
+        x = len(self._items)
+        self._items.append(payload)
+        try:
+            triples, raw = self._hnsw.insert(x)
+        except BaseException:
+            self._items.pop()
+            raise
+        self._distance_calls += raw
+        ns = self._neighbors
+        ns.register(x)
+
+        changed = {}
+        evictions = []
+        for a, b, v in triples:
+            improved, ev = ns.observe(a, b, v)
+            if improved:
+                changed[a] = True
+                if ev is not None:
+                    evictions.append((a, ev[0], ev[1]))
+            improved, ev = ns.observe(b, a, v)
+            if improved:
+                changed[b] = True
+                if ev is not None:
+                    evictions.append((b, ev[0], ev[1]))
+
+        if self._pairs is not None:
+            log = self._pairs
+            for a, b, v in triples:
+                key = (a << 32) | b
+                cur = log.get(key)
+                if cur is None or v < cur:
+                    log[key] = v
+
+        buf = self._buf
+        core = ns.core_distance
+        before = len(buf)
+        for a, b, v in chain(triples, evictions):
+            w = v
+            c = core(a)
+            if c > w:
+                w = c
+            c = core(b)
+            if c > w:
+                w = c
+            buf.push(a, b, w)
+        for y in changed:
+            cy = core(y)
+            for z, d in ns.members(y):
+                w = d if d > cy else cy
+                cz = core(z)
+                if cz > w:
+                    w = cz
+                buf.push(y, z, w)
+        self.last_add_pushes = len(buf) - before
+
+        if should_flush(len(buf), len(self._items), self.alpha):
+            self.flush()
+        return x
+
+
+def blob_rows(seed):
+    rows, _ = dataio.generate_blobs(600, dim=10, centers=5, rng=np.random.default_rng(seed))
+    return list(rows)
+
+
+def string_items(seed):
+    return noisy_strings(400, np.random.default_rng(seed))
+
+
+class TestCoreFilter:
+    """``add`` offers a distance to a set only when it beats that set's core
+    distance; the reference offers every distance to both sets. Both must
+    hold the same state after every insertion."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize(
+        "distance, items",
+        [(distances.euclidean, blob_rows), (distances.jaro_winkler, string_items)],
+        ids=["blobs", "strings"],
+    )
+    def test_same_state_as_reference_after_every_add(self, distance, items, seed):
+        engines = [cls(distance, rng_seed=seed, record_pairs=True)
+                   for cls in (FISHDBC, ReferenceFISHDBC)]
+        for item in items(seed):
+            states = []
+            for engine in engines:
+                engine.add(item)
+                ns = engine._neighbors
+                states.append((ns.dists, ns.core, engine._buf._edges,
+                               engine.last_add_pushes, engine.distance_calls,
+                               engine.forest_edges()))
+            assert states[0] == states[1]
+        got, want = [(e.cluster().labels.tolist(), e.pair_log()) for e in engines]
+        assert got == want
 
 
 def test_no_heavy_runtime_imports():

@@ -211,6 +211,14 @@ def test_matches_heap_reference(minpts, ops):
                 with pytest.raises(ValueError):
                     s.observe(x, y, v)
             continue
-        assert store.observe(x, y, v) == ref.observe(x, y, v)
-        assert store.core_distance(x) == ref.core_distance(x)
+        # The engine offers v to x's set only when v < core[x]; any other
+        # call must be a no-op that reports no change.
+        skippable = v >= store.core[x]
+        before = dict(store.dists[x]), store.core[x]
+        result = store.observe(x, y, v)
+        assert result == ref.observe(x, y, v)
+        if skippable:
+            assert result == (False, None)
+            assert (store.dists[x], store.core[x]) == before
+        assert store.core[x] == store.core_distance(x) == ref.core_distance(x)
         assert set(store.members(x)) == set(ref.members(x))
