@@ -2,8 +2,9 @@
 
 Both run as plain Python over Python ints: reading a numpy array one scalar
 at a time costs more than the sweep itself. ``kruskal_mask`` walks its
-inputs through memoryviews instead of ``tolist()``, so a flush of a few
-hundred thousand edges holds no extra per-edge Python lists.
+inputs through memoryviews instead of ``tolist()``, so a sweep holds no
+extra per-edge Python lists; the Filter-Kruskal flush calls it once per
+light chunk with one shared union-find.
 """
 
 import numpy as np
@@ -17,12 +18,17 @@ def _find(parent, x):
     return x
 
 
-def kruskal_mask(lo, hi, n):
+def kruskal_mask(lo, hi, n, parent=None):
     """Accept/reject mask for edges already sorted by (weight, lo, hi).
 
     ``lo`` and ``hi`` are C-contiguous int64 arrays of node ids below n.
+    ``parent`` is the union-find to sweep into, a list of n ints that the
+    sweep updates in place; by default every node starts alone. Sweeping
+    consecutive chunks of one sorted edge list into the same ``parent``
+    gives the masks of one sweep over the whole list.
     """
-    parent = list(range(n))
+    if parent is None:
+        parent = list(range(n))
     keep = bytearray(len(lo))
     for k, (a, b) in enumerate(zip(memoryview(lo), memoryview(hi))):
         a = _find(parent, a)

@@ -5,15 +5,16 @@ into the HNSW is tapped and used twice: it updates both endpoints' sets of
 nearest neighbors (which define core distances) and it feeds candidate
 edges of the mutual-reachability graph into a bounded buffer. When the buffer
 outgrows ``alpha * n`` entries it is folded into the approximate minimum
-spanning forest with Kruskal's algorithm. Clustering at any point flushes
-the buffer and extracts the hierarchy from the forest.
+spanning forest with Filter-Kruskal. Clustering at any point flushes the
+buffer and extracts the hierarchy from the forest.
 
-Whenever an item's neighbor set changes, the edges to its current members
-(and to the entry just evicted, if any) are re-pushed with freshly settled
-core distances. This keeps every computed pair's best-known weight
+Whenever an existing item's neighbor set changes, the edges to its current
+members (and to the entry just evicted, if any) are re-pushed with freshly
+settled core distances. This keeps every computed pair's best-known weight
 converging to its exact mutual reachability distance, so the final forest is
 a true minimum spanning forest of the reachability graph restricted to
-computed pairs.
+computed pairs. The new item's own edges need no re-push: each is one of
+its insertion's triples, pushed with the same settled weight.
 """
 
 import math
@@ -117,7 +118,6 @@ class FISHDBC:
             raise
         self._distance_calls += raw
         ns = self._neighbors
-        ns.register(x)
         core = ns.core
         observe = ns.observe
         buf = self._buf
@@ -126,10 +126,13 @@ class FISHDBC:
         # Phase 1: neighbor set updates for both endpoints of every triple.
         # Track whose top-minpts set changed and what fell out. The values
         # are finite, and ``observe`` returns (False, None) and changes
-        # nothing when offered v >= core[x], so only a distance below the
-        # endpoint's core distance is offered to its set.
+        # nothing when offered v >= core[a], so only a distance below the
+        # endpoint's core distance is offered to its set. Triples are
+        # (lo, hi, v) and x is the largest id, so x's triples are those with
+        # b == x: they are collected and x's set is filled from them at once.
         changed = {}
         evictions = []
+        offers = []
         for a, b, v in triples:
             if v < core[a]:
                 improved, ev = observe(a, b, v)
@@ -137,12 +140,15 @@ class FISHDBC:
                     changed[a] = True
                     if ev is not None:
                         evictions.append((a, ev[0], ev[1]))
-            if v < core[b]:
+            if b == x:
+                offers.append((a, v))
+            elif v < core[b]:
                 improved, ev = observe(b, a, v)
                 if improved:
                     changed[b] = True
                     if ev is not None:
                         evictions.append((b, ev[0], ev[1]))
+        ns.fill(x, offers)
 
         if self._pairs is not None:
             log = self._pairs
@@ -153,6 +159,11 @@ class FISHDBC:
                     log[key] = v
 
         # Phase 2: candidate edges, all weighted with the settled cores.
+        # Every edge with endpoint x is a triple of this insertion, pushed
+        # here with max(d, core[x], core[z]). Re-pushing x's members, its
+        # evictions or a changed row's entry for x would repeat that push
+        # with the same weight, so x is kept out of ``changed`` and skipped
+        # in the rows.
         before = len(buf)
         for a, b, v in chain(triples, evictions):
             w = v
@@ -167,6 +178,8 @@ class FISHDBC:
         for y in changed:
             cy = core[y]
             for z, d in dists[y].items():
+                if z == x:
+                    continue
                 w = d if d > cy else cy
                 cz = core[z]
                 if cz > w:

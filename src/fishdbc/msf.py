@@ -1,9 +1,10 @@
 """Approximate minimum spanning forest maintenance.
 
 New reachability edges accumulate in a bounded candidate buffer; a flush
-runs ``spanning_forest`` over the current forest plus the buffer. Flushing
-is safe at any point between insertions: a minimum spanning forest can be
-built incrementally from edge batches without changing the final result.
+runs ``spanning_forest`` (Filter-Kruskal) over the current forest plus the
+buffer. Flushing is safe at any point between insertions: a minimum
+spanning forest can be built incrementally from edge batches without
+changing the final result.
 """
 
 import numpy as np
@@ -85,22 +86,67 @@ def spanning_forest(lo, hi, w, n):
     Non-finite edges are dropped, as they never affect the clustering. The
     rest are swept by Kruskal in (w, lo, hi) order, which fixes how weight
     ties break; the kept int64 lo, hi and float64 w come back in that order.
+
+    The sweep is Filter-Kruskal (Osipov, Sanders & Singler, 2009): while
+    more than n edges remain, only those weighing at most the (n+1)-th
+    smallest weight are sorted and swept, into a union-find shared across
+    chunks, and the heavier edges whose endpoints that chunk already joined
+    are dropped unsorted. Kruskal would reject every dropped edge, and the
+    chunks are swept in weight order, so the result is that of one sweep
+    over all edges. It stops once n-1 edges are kept.
     """
     finite = np.isfinite(w)
     if not finite.all():
         lo, hi, w = lo[finite], hi[finite], w[finite]
-    order = np.lexsort((hi, lo, w))
-    lo, hi, w = lo[order], hi[order], w[order]
-    keep = _accel.kruskal_mask(lo, hi, n)
-    return lo[keep], hi[keep], w[keep]
+    parent = list(range(n))
+    parts = []
+    kept = 0
+    while len(w) and kept < n - 1:
+        if len(w) > n:
+            light = np.flatnonzero(w <= np.partition(w, n)[n])
+            clo, chi, cw = lo[light], hi[light], w[light]
+        else:
+            clo, chi, cw = lo, hi, w
+        order = np.lexsort((chi, clo, cw))
+        clo, chi, cw = clo[order], chi[order], cw[order]
+        keep = _accel.kruskal_mask(clo, chi, n, parent)
+        parts.append((clo[keep], chi[keep], cw[keep]))
+        kept += len(parts[-1][0])
+        if len(w) <= n:
+            break
+        # A swept edge's ends are joined, so this drops the light chunk
+        # along with the heavy edges it made redundant. One array at a
+        # time, so each old one is freed before the next copy.
+        root = _roots(parent)
+        cross = root[lo] != root[hi]
+        lo = lo[cross]
+        hi = hi[cross]
+        w = w[cross]
+    if not parts:
+        return lo, hi, w
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _roots(parent):
+    """Every node's union-find root, by pointer jumping over a parent list."""
+    root = np.array(parent, dtype=np.int64)
+    while True:
+        up = root[root]
+        if (up == root).all():
+            return root
+        root = up
 
 
 def update_msf(msf, buf, n):
     """Replace msf with a minimum spanning forest of msf's edges plus the
     buffer's, then empty the buffer."""
     blo, bhi, bw = buf.arrays()
-    lo = np.concatenate([msf.lo, blo])
-    hi = np.concatenate([msf.hi, bhi])
-    w = np.concatenate([msf.weight, bw])
-    msf.lo, msf.hi, msf.weight = spanning_forest(lo, hi, w, n)
+    # No local keeps the joined arrays, so the filter frees them as it
+    # drops edges.
+    msf.lo, msf.hi, msf.weight = spanning_forest(
+        np.concatenate([msf.lo, blo]),
+        np.concatenate([msf.hi, bhi]),
+        np.concatenate([msf.weight, bw]),
+        n,
+    )
     buf.clear()

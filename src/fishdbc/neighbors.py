@@ -6,9 +6,15 @@ distance (``NeighborStore.core``): +inf until the set is full, then the
 largest distance in it. That rule makes core distances monotone
 non-increasing over the store's lifetime. Others read both dicts directly;
 only the store writes them.
+
+An existing item's set changes one offered distance at a time
+(``observe``). A new item's set is built at once from all the distances
+its insertion computed (``fill``), with the same result as offering them
+to ``observe`` in order.
 """
 
 import math
+import operator
 
 __all__ = ["NeighborStore"]
 
@@ -24,6 +30,12 @@ class NeighborStore:
     """
 
     def __init__(self, minpts):
+        # A set is full when its size equals minpts, so only an integer can
+        # ever fill one.
+        try:
+            operator.index(minpts)
+        except TypeError:
+            raise ValueError(f"minpts must be an integer (got {minpts!r})") from None
         if not minpts >= 2:
             raise ValueError(f"minpts must be >= 2 (got {minpts})")
         self.minpts = minpts
@@ -31,10 +43,41 @@ class NeighborStore:
         self.core = {}
 
     def register(self, x):
+        """Add x with an empty set."""
+        self.fill(x, ())
+
+    def fill(self, x, offers):
+        """Add x with the set and core distance that offering each
+        ``(neighbor, distance)`` of ``offers`` to ``observe(x, ...)`` in
+        order, starting from an empty set, would leave. The neighbors must
+        be distinct and differ from x.
+
+        Let c be the minpts-th smallest offered distance. Every offer below
+        c is kept. Offers tied at c that arrive after the minpts-th offer at
+        or below c meet a full set with core c and are refused; of the
+        earlier ones, each later offer below c evicts the lowest id, so the
+        highest ids are kept. The dict keeps the arrival order ``observe``
+        would give it.
+        """
         if x in self.dists:
             raise ValueError(f"item {x} already registered")
-        self.dists[x] = {}
-        self.core[x] = INF
+        k = self.minpts
+        if len(offers) <= k:
+            near = dict(offers)
+            core = max(near.values()) if len(near) == k else INF
+        else:
+            core = sorted([v for _, v in offers])[k - 1]
+            near = {y: v for y, v in offers if v <= core}
+            if len(near) > k:
+                items = list(near.items())
+                for y, v in items[k:]:
+                    if v == core:
+                        del near[y]
+                ties = sorted(y for y, v in items[:k] if v == core)
+                for y in ties[: len(near) - k]:
+                    del near[y]
+        self.dists[x] = near
+        self.core[x] = core
 
     def observe(self, x, y, v):
         """Record that d(x, y) = v, updating x's set only.

@@ -2,12 +2,12 @@
 
 Ground truth for equivalence testing, quadratic by design. It shares with
 the incremental engine only what turns edges into clusters: the forest step
-(``msf.spanning_forest``: the (weight, lo, hi) tie rule and Kruskal) and the
-hierarchy (dendrogram, condensed tree, flat labels). What it checks stays
-independent: core distances are exact over the full matrix, every finite
-pair is a candidate edge, and the forest is built in one batch. Matrix
-entries may be +inf (unknown / masked pairs); infinite edges never affect
-the result. Each public call validates its matrix once.
+(``msf.spanning_forest``: the (weight, lo, hi) tie rule and Filter-Kruskal)
+and the hierarchy (dendrogram, condensed tree, flat labels). What it checks
+stays independent: core distances are exact over the full matrix, every
+finite pair is a candidate edge, and the forest is built in one batch.
+Matrix entries may be +inf (unknown / masked pairs); infinite edges never
+affect the result. Each public call validates its matrix once.
 """
 
 import math

@@ -58,6 +58,20 @@ class TestKruskalKernel:
             want = reference_kruskal_mask(lo, hi, n)
             assert np.array_equal(got, want)
 
+    def test_shared_parent_continues_the_sweep(self, rng):
+        """Two calls sweeping into one union-find give the mask of one call
+        over the concatenated edges."""
+        for _ in range(20):
+            n = int(rng.integers(5, 60))
+            m = int(rng.integers(2, n * (n - 1) // 2 + 1))
+            lo, hi = self.rand_edges(rng, n, m)
+            cut = int(rng.integers(1, m))
+            parent = list(range(n))
+            first = _accel.kruskal_mask(lo[:cut].copy(), hi[:cut].copy(), n, parent)
+            second = _accel.kruskal_mask(lo[cut:].copy(), hi[cut:].copy(), n, parent)
+            whole = _accel.kruskal_mask(lo, hi, n)
+            assert np.array_equal(np.concatenate([first, second]), whole)
+
     def test_spanning_tree_size(self, rng):
         n = 20
         lo, hi = self.rand_edges(rng, n, n * (n - 1) // 2)

@@ -43,11 +43,19 @@ class TestConfig:
             ({"ef": math.nan}, "ef"),
             ({"minpts": math.nan}, "minpts"),
             ({"min_cluster_size": math.nan}, "min_cluster_size"),
+            ({"minpts": math.inf}, "minpts"),
+            ({"minpts": 2.5}, "minpts"),
         ],
     )
     def test_bounds_reported(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             FISHDBC(distances.euclidean, **kwargs)
+
+    def test_numpy_integer_minpts_accepted(self):
+        engine = FISHDBC(distances.euclidean, minpts=np.int64(3))
+        for row in np.random.default_rng(0).random((20, 2)):
+            engine.add(row)
+        assert all(len(near) == 3 for near in engine._neighbors.dists.values())
 
 
 class TestSetup:
@@ -528,16 +536,30 @@ def string_items(seed):
     return noisy_strings(400, np.random.default_rng(seed))
 
 
+def duplicate_rows(seed):
+    """5 distinct 4-d points x 40 copies, shuffled: in most insertions
+    more of the new item's triples tie at its core distance than its set
+    can keep."""
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(rng.random((5, 4)), 40, axis=0)
+    return list(rows[rng.permutation(len(rows))])
+
+
 class TestCoreFilter:
     """``add`` offers a distance to a set only when it beats that set's core
-    distance; the reference offers every distance to both sets. Both must
-    hold the same state after every insertion."""
+    distance, fills the new item's set at once from its own triples, and
+    pushes no edge of the new item twice: not its members, not its
+    evictions and not a changed row's entry for it, each of which repeats
+    one of its triples with the same weight. The reference offers every
+    distance to both sets and pushes all of them. Both must hold the same
+    state after every insertion."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize(
         "distance, items",
-        [(distances.euclidean, blob_rows), (distances.jaro_winkler, string_items)],
-        ids=["blobs", "strings"],
+        [(distances.euclidean, blob_rows), (distances.jaro_winkler, string_items),
+         (distances.euclidean, duplicate_rows)],
+        ids=["blobs", "strings", "duplicates"],
     )
     def test_same_state_as_reference_after_every_add(self, distance, items, seed):
         engines = [cls(distance, rng_seed=seed, record_pairs=True)

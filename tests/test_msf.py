@@ -153,26 +153,47 @@ class TestUpdateMsf:
     def test_tied_weights_match_kruskal_edge_for_edge(self, rng):
         # Integer weights tie heavily, so only the (w, lo, hi) tie-break
         # decides which edges spanning_forest and a one-shot or a batched
-        # flush keep. Trial 0 is a complete graph, trial 1 has no edges, and
-        # every other trial also holds one infinite edge, which all must drop.
-        for trial in range(20):
-            n = int(rng.integers(5, 60))
+        # flush keep. Trial 0 is a complete graph, trial 1 has no edges.
+        # The Filter-Kruskal pivot is the (n+1)-th smallest weight: in
+        # trial 2 every weight is equal, so the first chunk takes all edges;
+        # in trial 3 one weight's ties run from below the pivot's rank to
+        # above it; in trial 4 the edges join two halves only, so the
+        # filter loop never keeps n-1 edges. Every trial after 1 also holds
+        # one infinite edge, which all must drop.
+        for trial in range(24):
+            n = int(rng.integers(5 if trial < 2 or trial > 4 else 10, 60))
             lo_all, hi_all = np.triu_indices(n, 1)
-            if trial < 2:
-                m = lo_all.size if trial == 0 else 0
+            if trial == 4:
+                apart = (hi_all < n // 2) | (lo_all >= n // 2)
+                lo_all, hi_all = lo_all[apart], hi_all[apart]
+            if trial == 1:
+                m = 0
+            elif trial <= 4:
+                m = lo_all.size
             else:
                 m = int(rng.integers(1, lo_all.size + 1))
             pick = rng.choice(lo_all.size, size=m, replace=False)
+            if trial == 2:
+                weights = np.ones(m)
+            elif trial == 3:
+                weights = np.repeat([0.0, 1.0, 2.0], [n // 2, 2 * n, m - n // 2 - 2 * n])
+            else:
+                weights = rng.integers(0, 4, size=m).astype(float)
             edges = [
-                (int(lo_all[k]), int(hi_all[k]), float(rng.integers(0, 4)))
-                for k in pick
+                (int(lo_all[k]), int(hi_all[k]), float(v))
+                for k, v in zip(pick, weights)
             ]
             if trial >= 2:
                 k = int(rng.integers(lo_all.size))
                 edges.append((int(lo_all[k]), int(hi_all[k]), math.inf))
             want = simple_kruskal(edges, n)
-            if trial == 0:
-                assert len(want) == n - 1  # the complete graph spans
+            if trial in (0, 2, 3):
+                assert len(want) == n - 1  # a complete graph spans
+            if trial == 3:
+                ranked = sorted(weights)
+                assert ranked[n // 2 - 1] < ranked[n] == 1.0 < ranked[-1]
+            if trial == 4:
+                assert m > n and len(want) == n - 2
             lo = np.array([e[0] for e in edges], dtype=np.int64)
             hi = np.array([e[1] for e in edges], dtype=np.int64)
             w = np.array([e[2] for e in edges], dtype=np.float64)

@@ -222,3 +222,28 @@ def test_matches_heap_reference(minpts, ops):
             assert (store.dists[x], store.core[x]) == before
         assert store.core[x] == store.core_distance(x) == ref.core_distance(x)
         assert set(store.members(x)) == set(ref.members(x))
+
+
+# Distinct neighbor ids, distances from 5 levels: ties at the minpts-th
+# smallest offer are common.
+offer_lists = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 4)),
+    max_size=20,
+    unique_by=lambda t: t[0],
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.integers(2, 5), offer_lists)
+def test_fill_matches_observe_replay(minpts, offers):
+    offers = [(y, float(v)) for y, v in offers]
+    x = 99
+    filled, replayed = NeighborStore(minpts), NeighborStore(minpts)
+    filled.fill(x, offers)
+    replayed.register(x)
+    for y, v in offers:
+        replayed.observe(x, y, v)
+    assert list(filled.dists[x].items()) == list(replayed.dists[x].items())
+    assert filled.core[x] == replayed.core[x]
+    with pytest.raises(ValueError):
+        filled.fill(x, offers)
