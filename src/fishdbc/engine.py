@@ -3,10 +3,12 @@
 Items are added one at a time. Every distance computed while linking an item
 into the HNSW is tapped and used twice: it updates both endpoints' sets of
 nearest neighbors (which define core distances) and it feeds candidate
-edges of the mutual-reachability graph into a bounded buffer. When the buffer
-outgrows ``alpha * n`` entries it is folded into the approximate minimum
-spanning forest with Filter-Kruskal. Clustering at any point flushes the
-buffer and extracts the hierarchy from the forest.
+edges of the mutual-reachability graph into a bounded buffer. The buffer is
+an append-only log: a pair pushed again is held again, and at the flush its
+lightest copy wins. When the log holds more than ``alpha * n`` raw entries,
+copies included, it is folded into the approximate minimum spanning forest
+with Filter-Kruskal. Clustering at any point flushes the buffer and extracts
+the hierarchy from the forest.
 
 Whenever an existing item's neighbor set changes, the edges to its current
 members (and to the entry just evicted, if any) are re-pushed with freshly
@@ -75,6 +77,7 @@ class FISHDBC:
         self._msf = Msf()
         self._distance_calls = 0
         self._pairs = {} if record_pairs else None
+        # Entries the last add() appended to the buffer, one per push.
         self.last_add_pushes = 0
 
     @property
@@ -88,6 +91,8 @@ class FISHDBC:
 
     @property
     def candidate_count(self):
+        """Entries the candidate buffer holds, copies of a pair included:
+        the count that ``alpha * n`` bounds."""
         return len(self._buf)
 
     def pair_log(self):
@@ -163,9 +168,16 @@ class FISHDBC:
         # here with max(d, core[x], core[z]). Re-pushing x's members, its
         # evictions or a changed row's entry for x would repeat that push
         # with the same weight, so x is kept out of ``changed`` and skipped
-        # in the rows.
+        # in the rows. Any other pair that a changed row holds is pushed by
+        # that row with the same distance and weight, so the triple or
+        # eviction is skipped, and of two changed rows that hold each other
+        # only the smaller id's row pushes the pair.
+        dists = ns.dists
         before = len(buf)
         for a, b, v in chain(triples, evictions):
+            if b != x and ((a in changed and b in dists[a])
+                           or (b in changed and a in dists[b])):
+                continue
             w = v
             c = core[a]
             if c > w:
@@ -174,11 +186,10 @@ class FISHDBC:
             if c > w:
                 w = c
             push(a, b, w)
-        dists = ns.dists
         for y in changed:
             cy = core[y]
             for z, d in dists[y].items():
-                if z == x:
+                if z == x or (z < y and z in changed and y in dists[z]):
                     continue
                 w = d if d > cy else cy
                 cz = core[z]

@@ -1,11 +1,14 @@
 """Approximate minimum spanning forest maintenance.
 
-New reachability edges accumulate in a bounded candidate buffer; a flush
-runs ``spanning_forest`` (Filter-Kruskal) over the current forest plus the
-buffer. Flushing is safe at any point between insertions: a minimum
-spanning forest can be built incrementally from edge batches without
-changing the final result.
+New reachability edges are appended to a bounded candidate buffer, copies
+of a pair included; a flush runs ``spanning_forest`` (Filter-Kruskal) over
+the current forest plus the buffer, where each pair's lightest copy wins.
+Flushing is safe at any point between insertions: a minimum spanning forest
+can be built incrementally from edge batches without changing the final
+result.
 """
+
+from array import array
 
 import numpy as np
 
@@ -18,20 +21,23 @@ _MASK = (1 << _SHIFT) - 1
 
 
 class CandidateBuffer:
-    """Map of canonical undirected edges to their best known weight.
+    """Append-only log of candidate edges: one packed ``lo << 32 | hi`` key
+    and one weight per push, in two typed arrays (16 B an entry).
 
-    Weights only ever decrease across pushes for the same pair; +inf weights
-    are accepted (they occupy a slot) and dropped when flushed into the
-    forest.
+    A pair pushed again is appended again, not merged; its lightest copy
+    is the one that counts, because the flush's Kruskal sweep meets it
+    first and rejects every later copy. ``len`` counts the raw entries,
+    copies included, and that is what the flush threshold ``alpha * n``
+    bounds. +inf weights are accepted and dropped at the flush.
     """
 
-    __slots__ = ("_edges",)
+    __slots__ = ("_keys", "_weights")
 
     def __init__(self):
-        self._edges = {}  # packed (lo << 32 | hi) -> weight
+        self.clear()
 
     def __len__(self):
-        return len(self._edges)
+        return len(self._weights)
 
     def push(self, a, b, w):
         if a == b:
@@ -40,20 +46,27 @@ class CandidateBuffer:
             raise ValueError(f"edge weight must be >= 0 (got {w})")
         if a > b:
             a, b = b, a
-        key = (a << _SHIFT) | b
-        cur = self._edges.get(key)
-        if cur is None or w < cur:
-            self._edges[key] = w
+        self._keys.append((a << _SHIFT) | b)
+        self._weights.append(w)
 
     def clear(self):
-        self._edges.clear()
+        # Fresh arrays, not resized old ones: a live numpy view of the old
+        # storage would make an in-place resize raise BufferError.
+        self._keys = array("q")
+        self._weights = array("d")
+
+    def _views(self):
+        """Packed keys and weights as numpy views of the log's storage.
+
+        The views pin the storage; drop them before the next push.
+        """
+        return (np.frombuffer(self._keys, dtype=np.int64),
+                np.frombuffer(self._weights, dtype=np.float64))
 
     def arrays(self):
-        """Buffer contents as (lo, hi, weight) numpy arrays."""
-        k = len(self._edges)
-        keys = np.fromiter(self._edges.keys(), dtype=np.int64, count=k)
-        w = np.fromiter(self._edges.values(), dtype=np.float64, count=k)
-        return keys >> _SHIFT, keys & _MASK, w
+        """Every entry, copies included, as (lo, hi, weight) numpy arrays."""
+        keys, w = self._views()
+        return keys >> _SHIFT, keys & _MASK, w.copy()
 
 
 class Msf:
@@ -139,14 +152,35 @@ def _roots(parent):
 
 def update_msf(msf, buf, n):
     """Replace msf with a minimum spanning forest of msf's edges plus the
-    buffer's, then empty the buffer."""
-    blo, bhi, bw = buf.arrays()
-    # No local keeps the joined arrays, so the filter frees them as it
-    # drops edges.
+    buffer's, then empty the buffer.
+
+    A pair's copies need no reduction: the sweep orders by (w, lo, hi), so
+    it keeps a pair's lightest copy first and rejects the later ones, whose
+    ends are then joined. The buffer's storage is released before the sweep.
+    """
+    edges = _joined_edges(msf, buf)
+    # Popped rather than unpacked, so that no name here holds the joined
+    # arrays and the filter frees each one as it drops edges.
     msf.lo, msf.hi, msf.weight = spanning_forest(
-        np.concatenate([msf.lo, blo]),
-        np.concatenate([msf.hi, bhi]),
-        np.concatenate([msf.weight, bw]),
-        n,
+        edges.pop(0), edges.pop(0), edges.pop(0), n
     )
+
+
+def _joined_edges(msf, buf):
+    """[lo, hi, w] of msf's edges followed by the buffer's entries; empties
+    the buffer."""
+    m = len(msf)
+    total = m + len(buf)
+    lo = np.empty(total, dtype=np.int64)
+    hi = np.empty(total, dtype=np.int64)
+    w = np.empty(total, dtype=np.float64)
+    lo[:m] = msf.lo
+    hi[:m] = msf.hi
+    w[:m] = msf.weight
+    keys, bw = buf._views()
+    np.right_shift(keys, _SHIFT, out=lo[m:])
+    np.bitwise_and(keys, _MASK, out=hi[m:])
+    w[m:] = bw
+    del keys, bw  # unpin the log's storage so clear() frees it
     buf.clear()
+    return [lo, hi, w]

@@ -52,11 +52,12 @@ def noisy_strings(n, rng, prototypes=10, length=16, edit_rate=0.2):
 
 
 def buffered_weight(buf, a, b):
-    """Weight a CandidateBuffer holds for the pair {a, b}, or None."""
+    """Weight of the lightest copy a CandidateBuffer holds for the pair
+    {a, b}, the one a flush would keep, or None."""
     lo, hi, w = buf.arrays()
     a, b = min(a, b), max(a, b)
-    hit = np.flatnonzero((lo == a) & (hi == b))
-    return float(w[hit[0]]) if hit.size else None
+    hit = (lo == a) & (hi == b)
+    return float(w[hit].min()) if hit.any() else None
 
 
 def write_matrix(path, matrix):

@@ -160,14 +160,17 @@ class TestAdd:
         assert run(fail_at=49) == run(fail_at=None)
 
     def test_replay_oracle_weights(self, rng):
-        # Every computed pair must appear in candidates plus forest with
-        # weight equal to the mutual reachability distance implied by the
-        # currently known heaps, recomputed by replaying the pair log.
+        # Every computed pair's lightest buffered copy must weigh the mutual
+        # reachability distance implied by the currently known heaps,
+        # recomputed by replaying the pair log. The buffer keeps every push
+        # only until a flush, so alpha is set so that none runs.
         minpts = 4
-        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, record_pairs=True)
+        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, alpha=1e9,
+                         record_pairs=True)
         data = rng.random((50, 2))
         for row in data:
             engine.add(row)
+        assert engine.forest_edges() == []
         pairs = engine.pair_log()
         # Replay: rebuild each item's neighbor list from the log alone.
         known = {i: [] for i in range(50)}
@@ -178,13 +181,9 @@ class TestAdd:
         for i, dists in known.items():
             dists.sort()
             cores[i] = dists[minpts - 1] if len(dists) >= minpts else math.inf
-        forest = {(lo, hi): w for lo, hi, w in engine.forest_edges()}
         for (i, j), d in pairs.items():
             expected = max(d, cores[i], cores[j])
-            stored = buffered_weight(engine._buf, i, j)
-            if stored is None:
-                stored = forest.get((i, j))
-            assert stored == expected, (i, j)
+            assert buffered_weight(engine._buf, i, j) == expected, (i, j)
 
     def test_buffer_bound_after_every_add(self, rng):
         alpha = 2.0
@@ -548,11 +547,13 @@ def duplicate_rows(seed):
 class TestCoreFilter:
     """``add`` offers a distance to a set only when it beats that set's core
     distance, fills the new item's set at once from its own triples, and
-    pushes no edge of the new item twice: not its members, not its
-    evictions and not a changed row's entry for it, each of which repeats
-    one of its triples with the same weight. The reference offers every
-    distance to both sets and pushes all of them. Both must hold the same
-    state after every insertion."""
+    skips every push that repeats another push of the same insertion with
+    the same weight: the new item's members, its evictions and a changed
+    row's entry for it, a triple or eviction that a changed row holds, and
+    the second row of two changed rows that hold each other. The reference
+    offers every distance to both sets and pushes all of them. Both must
+    hold the same state after every insertion. Neither engine flushes, so
+    the lightest copy of every pair pushed so far stays in its buffer."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize(
@@ -562,19 +563,49 @@ class TestCoreFilter:
         ids=["blobs", "strings", "duplicates"],
     )
     def test_same_state_as_reference_after_every_add(self, distance, items, seed):
-        engines = [cls(distance, rng_seed=seed, record_pairs=True)
+        engines = [cls(distance, rng_seed=seed, alpha=1e9, record_pairs=True)
                    for cls in (FISHDBC, ReferenceFISHDBC)]
+        lightest = [{}, {}]
         for item in items(seed):
             states = []
-            for engine in engines:
+            for engine, best in zip(engines, lightest):
                 engine.add(item)
+                # Fold in only the entries this add appended.
+                new = engine.last_add_pushes
+                lo, hi, w = (a[len(a) - new:].tolist() for a in engine._buf.arrays())
+                for pair, v in zip(zip(lo, hi), w):
+                    cur = best.get(pair)
+                    if cur is None or v < cur:
+                        best[pair] = v
                 ns = engine._neighbors
-                states.append((ns.dists, ns.core, engine._buf._edges,
-                               engine.last_add_pushes, engine.distance_calls,
-                               engine.forest_edges()))
+                states.append((ns.dists, ns.core, best, engine.distance_calls))
             assert states[0] == states[1]
-        got, want = [(e.cluster().labels.tolist(), e.pair_log()) for e in engines]
+        assert engines[0].forest_edges() == []
+        got, want = [(e.cluster().labels.tolist(), e.forest_edges(), e.pair_log())
+                     for e in engines]
         assert got == want
+
+
+class TestFlushSchedule:
+    """The forest is a minimum spanning forest of every edge pushed so far,
+    whenever the flushes ran, so the flush threshold leaves no trace."""
+
+    @pytest.mark.parametrize(
+        "distance, items",
+        [(distances.euclidean, blob_rows), (distances.jaro_winkler, string_items)],
+        ids=["blobs", "strings"],
+    )
+    def test_alpha_changes_no_output(self, distance, items):
+        eager, lazy = (FISHDBC(distance, rng_seed=1, alpha=alpha) for alpha in (1, 1e9))
+        for k, item in enumerate(items(1), 1):
+            eager.add(item)
+            lazy.add(item)
+            if k % 25 == 0:
+                # Only the lazy engine holds more than n entries unflushed.
+                assert eager.candidate_count <= k < lazy.candidate_count
+                got, want = ((e.cluster().labels.tolist(), e.forest_edges())
+                             for e in (eager, lazy))
+                assert got == want
 
 
 def test_no_heavy_runtime_imports():

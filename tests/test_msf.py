@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,49 @@ class TestCandidateBuffer:
         with pytest.raises(ValueError):
             buf.push(0, 1, -0.5)
 
+    def test_len_counts_every_push(self):
+        buf = CandidateBuffer()
+        for k, (a, b, w) in enumerate([(0, 1, 2.0), (1, 0, 2.0), (0, 1, 1.0),
+                                       (0, 1, math.inf), (2, 1, 3.0)], 1):
+            buf.push(a, b, w)
+            assert len(buf) == k
+        lo, hi, w = buf.arrays()
+        assert list(zip(lo.tolist(), hi.tolist(), w.tolist())) == [
+            (0, 1, 2.0), (0, 1, 2.0), (0, 1, 1.0), (0, 1, math.inf), (1, 2, 3.0)]
+
+    def test_push_after_arrays_and_after_flush(self):
+        # Numpy views pin the log's storage and make a growing append raise
+        # BufferError: neither arrays() nor a flush may leave one behind.
+        buf = CandidateBuffer()
+        msf = Msf()
+        buf.push(0, 1, 1.0)
+        held = buf.arrays()
+        for k in range(1000):
+            buf.push(k + 1, k + 2, 1.0)
+        assert len(buf) == 1001
+        assert [a.tolist() for a in held] == [[0], [1], [1.0]]
+        update_msf(msf, buf, 1002)
+        for k in range(1000):
+            buf.push(k, k + 2, 2.0)
+        update_msf(msf, buf, 1002)
+        assert len(buf) == 0 and len(msf) == 1001
+
+    def test_entry_size(self):
+        # Typed arrays hold 16 B an entry plus their growth slack; a dict of
+        # packed keys to floats held about 90 B.
+        count = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            buf = CandidateBuffer()
+            for k in range(count):
+                buf.push(k, k + 1, 0.5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(buf) == count
+        assert held <= 20 * count
+
 
 class TestShouldFlush:
     def test_empty_buffer(self):
@@ -158,8 +202,10 @@ class TestUpdateMsf:
         # trial 2 every weight is equal, so the first chunk takes all edges;
         # in trial 3 one weight's ties run from below the pivot's rank to
         # above it; in trial 4 the edges join two halves only, so the
-        # filter loop never keeps n-1 edges. Every trial after 1 also holds
-        # one infinite edge, which all must drop.
+        # filter loop never keeps n-1 edges; in trial 5 half the pairs come
+        # again, as lighter, heavier or identical copies, and all must keep
+        # the lightest. Every trial after 1 also holds one infinite edge,
+        # which all must drop.
         for trial in range(24):
             n = int(rng.integers(5 if trial < 2 or trial > 4 else 10, 60))
             lo_all, hi_all = np.triu_indices(n, 1)
@@ -183,6 +229,11 @@ class TestUpdateMsf:
                 (int(lo_all[k]), int(hi_all[k]), float(v))
                 for k, v in zip(pick, weights)
             ]
+            if trial == 5:
+                again = rng.choice(m, size=m // 2, replace=False)
+                edges += [(*edges[k][:2], float(rng.integers(0, 4))) for k in again]
+                edges = [edges[k] for k in rng.permutation(len(edges))]
+                assert len({e[:2] for e in edges}) < len(edges)
             if trial >= 2:
                 k = int(rng.integers(lo_all.size))
                 edges.append((int(lo_all[k]), int(hi_all[k]), math.inf))
@@ -240,6 +291,33 @@ class TestUpdateMsf:
             assert float(msf.weight.sum()) == pytest.approx(
                 prim_total_weight(matrix), rel=1e-12
             )
+
+    def test_copies_flush_to_kruskal_of_lightest_copy(self, rng):
+        # A pair pushed heavier after lighter, lighter after heavier, as
+        # identical copies or with a +inf copy flushes to the forest of its
+        # lightest copy alone.
+        copies = [
+            (0, 1, 1.0), (0, 1, 3.0),  # heavier after lighter
+            (2, 1, 4.0), (1, 2, 1.0),  # lighter after heavier
+            (2, 3, 2.0), (3, 2, 2.0), (2, 3, 2.0),  # identical
+            (3, 4, math.inf), (3, 4, 2.0), (4, 0, math.inf),  # +inf copies
+            (0, 2, 1.0), (0, 2, 0.5),
+        ]
+        for trial in range(20):
+            edges = copies if trial == 0 else [
+                copies[k] for k in rng.permutation(len(copies))]
+            lightest = {}
+            for a, b, w in edges:
+                pair = (min(a, b), max(a, b))
+                lightest[pair] = min(w, lightest.get(pair, math.inf))
+            want = simple_kruskal([(lo, hi, w) for (lo, hi), w in lightest.items()], 5)
+            assert want == [(0, 2, 0.5), (0, 1, 1.0), (2, 3, 2.0), (3, 4, 2.0)]
+            buf = CandidateBuffer()
+            for edge in edges:
+                buf.push(*edge)
+            msf = Msf()
+            update_msf(msf, buf, 5)
+            assert msf.edges() == want
 
     def test_duplicate_pair_across_msf_and_buffer(self):
         # The same pair living in both the forest and the buffer must keep
