@@ -10,17 +10,18 @@ copies included, it is folded into the approximate minimum spanning forest
 with Filter-Kruskal. Clustering at any point flushes the buffer and extracts
 the hierarchy from the forest.
 
-Whenever an existing item's neighbor set changes, the edges to its current
-members (and to the entry just evicted, if any) are re-pushed with freshly
-settled core distances. This keeps every computed pair's best-known weight
-converging to its exact mutual reachability distance, so the final forest is
-a true minimum spanning forest of the reachability graph restricted to
-computed pairs. The new item's own edges need no re-push: each is one of
-its insertion's triples, pushed with the same settled weight.
+``add()`` appends each triple and each eviction with its raw distance and
+marks the existing rows whose neighbor set changed as dirty. A pair's
+weight max(d, core[a], core[b]) only falls, and only while a row whose core
+falls holds the pair, so the flush first appends every pair a dirty row
+holds, then weighs the whole log at once with the current core distances.
+A forest edge whose weight has since fallen is re-supplied that way, by the
+dirty row that holds it or by its eviction, and its lighter copy wins. So
+the forest is a true minimum spanning forest of the reachability graph
+restricted to computed pairs.
 """
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -75,9 +76,12 @@ class FISHDBC:
         )
         self._buf = CandidateBuffer()
         self._msf = Msf()
+        # Existing items whose neighbor set changed since the last flush.
+        self._dirty = set()
         self._distance_calls = 0
         self._pairs = {} if record_pairs else None
-        # Entries the last add() appended to the buffer, one per push.
+        # Entries the last add() appended to the buffer: its triples plus
+        # its evictions, one push each.
         self.last_add_pushes = 0
 
     @property
@@ -91,7 +95,8 @@ class FISHDBC:
 
     @property
     def candidate_count(self):
-        """Entries the candidate buffer holds, copies of a pair included:
+        """Entries the candidate buffer holds: the triples and evictions
+        appended since the last flush, copies of a pair included. This is
         the count that ``alpha * n`` bounds."""
         return len(self._buf)
 
@@ -127,33 +132,36 @@ class FISHDBC:
         observe = ns.observe
         buf = self._buf
         push = buf.push
+        dirty = self._dirty
 
-        # Phase 1: neighbor set updates for both endpoints of every triple.
-        # Track whose top-minpts set changed and what fell out. The values
-        # are finite, and ``observe`` returns (False, None) and changes
-        # nothing when offered v >= core[a], so only a distance below the
-        # endpoint's core distance is offered to its set. Triples are
-        # (lo, hi, v) and x is the largest id, so x's triples are those with
-        # b == x: they are collected and x's set is filled from them at once.
-        changed = {}
-        evictions = []
+        # Neighbor set updates for both endpoints of every triple; each
+        # triple and each eviction is appended with its raw distance, for
+        # the flush to weigh. The values are finite, and ``observe`` returns
+        # (False, None) and changes nothing when offered v >= core[a], so
+        # only a distance below the endpoint's core distance is offered to
+        # its set. Triples are (lo, hi, v) and x is the largest id, so x's
+        # triples are those with b == x: x's set is filled from them at
+        # once, and all of x's pairs are in the buffer already.
+        before = len(buf)
         offers = []
         for a, b, v in triples:
+            push(a, b, v)
             if v < core[a]:
                 improved, ev = observe(a, b, v)
                 if improved:
-                    changed[a] = True
+                    dirty.add(a)
                     if ev is not None:
-                        evictions.append((a, ev[0], ev[1]))
+                        push(a, ev[0], ev[1])
             if b == x:
                 offers.append((a, v))
             elif v < core[b]:
                 improved, ev = observe(b, a, v)
                 if improved:
-                    changed[b] = True
+                    dirty.add(b)
                     if ev is not None:
-                        evictions.append((b, ev[0], ev[1]))
+                        push(b, ev[0], ev[1])
         ns.fill(x, offers)
+        self.last_add_pushes = len(buf) - before
 
         if self._pairs is not None:
             log = self._pairs
@@ -162,41 +170,6 @@ class FISHDBC:
                 cur = log.get(key)
                 if cur is None or v < cur:
                     log[key] = v
-
-        # Phase 2: candidate edges, all weighted with the settled cores.
-        # Every edge with endpoint x is a triple of this insertion, pushed
-        # here with max(d, core[x], core[z]). Re-pushing x's members, its
-        # evictions or a changed row's entry for x would repeat that push
-        # with the same weight, so x is kept out of ``changed`` and skipped
-        # in the rows. Any other pair that a changed row holds is pushed by
-        # that row with the same distance and weight, so the triple or
-        # eviction is skipped, and of two changed rows that hold each other
-        # only the smaller id's row pushes the pair.
-        dists = ns.dists
-        before = len(buf)
-        for a, b, v in chain(triples, evictions):
-            if b != x and ((a in changed and b in dists[a])
-                           or (b in changed and a in dists[b])):
-                continue
-            w = v
-            c = core[a]
-            if c > w:
-                w = c
-            c = core[b]
-            if c > w:
-                w = c
-            push(a, b, w)
-        for y in changed:
-            cy = core[y]
-            for z, d in dists[y].items():
-                if z == x or (z < y and z in changed and y in dists[z]):
-                    continue
-                w = d if d > cy else cy
-                cz = core[z]
-                if cz > w:
-                    w = cz
-                push(y, z, w)
-        self.last_add_pushes = len(buf) - before
 
         if should_flush(len(buf), len(self._items), self.alpha):
             self.flush()
@@ -207,8 +180,22 @@ class FISHDBC:
 
         Callable at any idle point between adds; a no-op on an empty buffer.
         """
-        if len(self._buf):
-            update_msf(self._msf, self._buf, len(self._items))
+        buf = self._buf
+        dirty = self._dirty
+        # Every pair a dirty row holds, at its raw distance: its weight may
+        # have fallen since it was appended or joined the forest. Of two
+        # dirty rows that hold each other, only the smaller id's pushes it.
+        dists = self._neighbors.dists
+        push = buf.push
+        for y in dirty:
+            for z, d in dists[y].items():
+                if not (z < y and z in dirty and y in dists[z]):
+                    push(y, z, d)
+        dirty.clear()
+        if len(buf):
+            n = len(self._items)
+            buf.weigh(np.fromiter(self._neighbors.core.values(), float, n))
+            update_msf(self._msf, buf, n)
 
     def cluster(self, min_cluster_size=None):
         """Extract the hierarchy and a flat labeling from the current state.

@@ -1,8 +1,10 @@
 """Approximate minimum spanning forest maintenance.
 
-New reachability edges are appended to a bounded candidate buffer, copies
-of a pair included; a flush runs ``spanning_forest`` (Filter-Kruskal) over
-the current forest plus the buffer, where each pair's lightest copy wins.
+Candidate edges are appended to a bounded buffer with their raw
+distances, copies of a pair included. A flush first weighs them with the
+current core distances (``CandidateBuffer.weigh``), then runs
+``spanning_forest`` (Filter-Kruskal) over the current forest plus the
+buffer, where each pair's lightest copy wins.
 Flushing is safe at any point between insertions: a minimum spanning forest
 can be built incrementally from edge batches without changing the final
 result.
@@ -22,7 +24,9 @@ _MASK = (1 << _SHIFT) - 1
 
 class CandidateBuffer:
     """Append-only log of candidate edges: one packed ``lo << 32 | hi`` key
-    and one weight per push, in two typed arrays (16 B an entry).
+    and one weight per push, in two typed arrays (16 B an entry). The
+    engine pushes raw distances; they become mutual reachability weights
+    only when ``weigh`` runs at the flush.
 
     A pair pushed again is appended again, not merged; its lightest copy
     is the one that counts, because the flush's Kruskal sweep meets it
@@ -54,6 +58,14 @@ class CandidateBuffer:
         # storage would make an in-place resize raise BufferError.
         self._keys = array("q")
         self._weights = array("d")
+
+    def weigh(self, core):
+        """Raise each entry's weight w to max(w, core[lo], core[hi]) in place,
+        with ``core`` a float64 array indexed by item id. A weight at least
+        that heavy is left as it is; +inf cores give +inf weights."""
+        keys, w = self._views()
+        np.maximum(w, core[keys >> _SHIFT], out=w)
+        np.maximum(w, core[keys & _MASK], out=w)
 
     def _views(self):
         """Packed keys and weights as numpy views of the log's storage.

@@ -42,10 +42,6 @@ class NeighborStore:
         self.dists = {}
         self.core = {}
 
-    def register(self, x):
-        """Add x with an empty set."""
-        self.fill(x, ())
-
     def fill(self, x, offers):
         """Add x with the set and core distance that offering each
         ``(neighbor, distance)`` of ``offers`` to ``observe(x, ...)`` in

@@ -12,7 +12,7 @@ import fishdbc
 from helpers import buffered_weight, canonical_labels, noisy_strings, two_blob_points
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
-from fishdbc.msf import should_flush
+from fishdbc.msf import should_flush, spanning_forest
 from test_distances import loop_jaro_winkler
 
 
@@ -160,30 +160,33 @@ class TestAdd:
         assert run(fail_at=49) == run(fail_at=None)
 
     def test_replay_oracle_weights(self, rng):
-        # Every computed pair's lightest buffered copy must weigh the mutual
-        # reachability distance implied by the currently known heaps,
-        # recomputed by replaying the pair log. The buffer keeps every push
-        # only until a flush, so alpha is set so that none runs.
+        # After a flush, the forest must be the minimum spanning forest of
+        # every computed pair weighted by the mutual reachability distance
+        # that the known distances imply, recomputed by replaying the pair
+        # log. alpha = 1 makes the engine flush on its own in between.
         minpts = 4
-        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, alpha=1e9,
+        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, alpha=1,
                          record_pairs=True)
-        data = rng.random((50, 2))
-        for row in data:
+        for k, row in enumerate(rng.random((120, 2)), 1):
             engine.add(row)
-        assert engine.forest_edges() == []
-        pairs = engine.pair_log()
-        # Replay: rebuild each item's neighbor list from the log alone.
-        known = {i: [] for i in range(50)}
-        for (i, j), d in pairs.items():
-            known[i].append(d)
-            known[j].append(d)
-        cores = {}
-        for i, dists in known.items():
-            dists.sort()
-            cores[i] = dists[minpts - 1] if len(dists) >= minpts else math.inf
-        for (i, j), d in pairs.items():
-            expected = max(d, cores[i], cores[j])
-            assert buffered_weight(engine._buf, i, j) == expected, (i, j)
+            if k % 10:
+                continue
+            engine.flush()
+            pairs = engine.pair_log()
+            # Replay: rebuild each item's neighbor list from the log alone.
+            known = {i: [] for i in range(k)}
+            for (i, j), d in pairs.items():
+                known[i].append(d)
+                known[j].append(d)
+            cores = {}
+            for i, dists in known.items():
+                dists.sort()
+                cores[i] = dists[minpts - 1] if len(dists) >= minpts else math.inf
+            lo, hi = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+            w = np.array([max(d, cores[i], cores[j]) for (i, j), d in pairs.items()])
+            expected = [(int(a), int(b), float(c))
+                        for a, b, c in zip(*spanning_forest(lo, hi, w, k))]
+            assert engine.forest_edges() == expected, k
 
     def test_buffer_bound_after_every_add(self, rng):
         alpha = 2.0
@@ -318,21 +321,22 @@ class TestDeterminismAndIncrementality:
 
 class TestStateSizeInvariant:
     def test_candidate_weights_monotone(self, rng):
-        # The best-known weight of a pair never increases, flushes included.
+        # The weight a flush gives a pair never increases from one flush to
+        # the next.
         from fishdbc.msf import CandidateBuffer
 
         seen = {}
 
         class CheckingBuffer(CandidateBuffer):
-            def push(self, a, b, w):
-                key = (min(a, b), max(a, b))
-                super().push(a, b, w)
-                stored = buffered_weight(self, *key)
-                if key in seen:
-                    assert stored <= seen[key]
-                seen[key] = stored
+            def weigh(self, core):
+                super().weigh(core)
+                lo, hi, w = self.arrays()
+                for key, v in zip(zip(lo.tolist(), hi.tolist()), w.tolist()):
+                    if key in seen:
+                        assert v <= seen[key]
+                    seen[key] = v
 
-        engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=2)
+        engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=2, alpha=1)
         engine._buf = CheckingBuffer()
         for _ in range(120):
             engine.add(rng.random(2))
@@ -475,7 +479,7 @@ class ReferenceFISHDBC(FISHDBC):
             raise
         self._distance_calls += raw
         ns = self._neighbors
-        ns.register(x)
+        ns.fill(x, ())
 
         changed = {}
         evictions = []
@@ -547,13 +551,12 @@ def duplicate_rows(seed):
 class TestCoreFilter:
     """``add`` offers a distance to a set only when it beats that set's core
     distance, fills the new item's set at once from its own triples, and
-    skips every push that repeats another push of the same insertion with
-    the same weight: the new item's members, its evictions and a changed
-    row's entry for it, a triple or eviction that a changed row holds, and
-    the second row of two changed rows that hold each other. The reference
-    offers every distance to both sets and pushes all of them. Both must
-    hold the same state after every insertion. Neither engine flushes, so
-    the lightest copy of every pair pushed so far stays in its buffer."""
+    appends raw distances that the flush weighs, with every pair a changed
+    row holds re-supplied once per flush. The reference offers every
+    distance to both sets and, after every insertion, pushes every triple,
+    eviction and changed row's entry with its settled weight. Both must
+    hold the same sets, cores and call count after every insertion, and
+    the same forest after a flush."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize(
@@ -565,22 +568,19 @@ class TestCoreFilter:
     def test_same_state_as_reference_after_every_add(self, distance, items, seed):
         engines = [cls(distance, rng_seed=seed, alpha=1e9, record_pairs=True)
                    for cls in (FISHDBC, ReferenceFISHDBC)]
-        lightest = [{}, {}]
-        for item in items(seed):
+        for k, item in enumerate(items(seed), 1):
             states = []
-            for engine, best in zip(engines, lightest):
+            for engine in engines:
                 engine.add(item)
-                # Fold in only the entries this add appended.
-                new = engine.last_add_pushes
-                lo, hi, w = (a[len(a) - new:].tolist() for a in engine._buf.arrays())
-                for pair, v in zip(zip(lo, hi), w):
-                    cur = best.get(pair)
-                    if cur is None or v < cur:
-                        best[pair] = v
                 ns = engine._neighbors
-                states.append((ns.dists, ns.core, best, engine.distance_calls))
+                states.append((ns.dists, ns.core, engine.distance_calls))
             assert states[0] == states[1]
-        assert engines[0].forest_edges() == []
+            # Several adds between flushes, so that a set can both fill and
+            # evict a pair that the last flush dropped at weight +inf.
+            if k % 7 == 0:
+                for engine in engines:
+                    engine.flush()
+                assert engines[0].forest_edges() == engines[1].forest_edges()
         got, want = [(e.cluster().labels.tolist(), e.forest_edges(), e.pair_log())
                      for e in engines]
         assert got == want

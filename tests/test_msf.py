@@ -134,6 +134,50 @@ class TestCandidateBuffer:
         assert held <= 20 * count
 
 
+class TestWeigh:
+    def test_weight_is_max_of_distance_and_end_cores(self, rng):
+        n = 40
+        core = rng.random(n) * 2
+        edges = [(int(a), int(b), float(rng.random() * 2))
+                 for a, b in rng.integers(0, n, size=(300, 2)) if a != b]
+        buf = CandidateBuffer()
+        for a, b, d in edges:
+            buf.push(a, b, d)
+        lo, hi, _ = buf.arrays()
+        buf.weigh(core)
+        got_lo, got_hi, w = buf.arrays()
+        # Keys stay as they were, in push order.
+        assert got_lo.tolist() == lo.tolist() and got_hi.tolist() == hi.tolist()
+        assert w.tolist() == [max(d, core[a], core[b]) for a, b, d in edges]
+
+    def test_infinite_core_gives_infinite_weight_dropped_at_flush(self):
+        buf = CandidateBuffer()
+        buf.push(0, 1, 1.0)
+        buf.push(1, 2, 1.5)
+        buf.weigh(np.array([0.5, 2.0, math.inf]))
+        assert buf.arrays()[2].tolist() == [2.0, math.inf]
+        msf = Msf()
+        update_msf(msf, buf, 3)
+        assert msf.edges() == [(0, 1, 2.0)]
+
+    def test_heavier_weights_never_lowered(self):
+        buf = CandidateBuffer()
+        buf.push(0, 1, 5.0)
+        buf.push(1, 2, math.inf)
+        buf.push(0, 2, 1.0)
+        buf.weigh(np.array([2.0, 3.0, 0.0]))
+        assert buf.arrays()[2].tolist() == [5.0, math.inf, 2.0]
+
+    def test_push_after_weigh(self):
+        # weigh() must not leave a view that pins the log's storage.
+        buf = CandidateBuffer()
+        buf.push(0, 1, 1.0)
+        buf.weigh(np.zeros(2))
+        for k in range(1000):
+            buf.push(k, k + 1, 1.0)
+        assert len(buf) == 1001
+
+
 class TestShouldFlush:
     def test_empty_buffer(self):
         assert not should_flush(0, 10, 2.0)

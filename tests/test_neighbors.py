@@ -77,7 +77,7 @@ class HeapNeighborStore:
 
 def make_store(minpts, owner=0, distances=()):
     store = NeighborStore(minpts)
-    store.register(owner)
+    store.fill(owner, ())
     for i, d in enumerate(distances, start=1000):
         store.observe(owner, i, d)
     return store
@@ -86,7 +86,7 @@ def make_store(minpts, owner=0, distances=()):
 class TestObserve:
     def test_underfull_always_improves(self):
         store = NeighborStore(3)
-        store.register(0)
+        store.fill(0, ())
         improved, evicted = store.observe(0, 1, 42.0)
         assert improved and evicted is None
 
@@ -118,7 +118,7 @@ class TestObserve:
 
     def test_duplicate_neighbor_keeps_smaller(self):
         store = NeighborStore(3)
-        store.register(0)
+        store.fill(0, ())
         store.observe(0, 1, 4.0)
         improved, _ = store.observe(0, 1, 4.0)
         assert not improved
@@ -136,7 +136,7 @@ class TestObserve:
 
     def test_self_neighbor_rejected(self):
         store = NeighborStore(2)
-        store.register(0)
+        store.fill(0, ())
         with pytest.raises(ValueError):
             store.observe(0, 0, 1.0)
 
@@ -144,7 +144,7 @@ class TestObserve:
 class TestCoreDistance:
     def test_empty_heap_is_inf(self):
         store = NeighborStore(3)
-        store.register(0)
+        store.fill(0, ())
         assert store.core_distance(0) == math.inf
 
     def test_underfull_heap_is_inf(self):
@@ -165,7 +165,7 @@ class TestCoreDistance:
         points = rng.random((30, 2))
         store = NeighborStore(minpts)
         for i in range(30):
-            store.register(i)
+            store.fill(i, ())
         for i in range(30):
             for j in range(30):
                 if i != j:
@@ -180,7 +180,7 @@ class TestCoreDistance:
 
     def test_monotone_under_observation(self, rng):
         store = NeighborStore(4)
-        store.register(0)
+        store.fill(0, ())
         prev = store.core_distance(0)
         for i in range(1, 200):
             store.observe(0, i, float(rng.random() * 10))
@@ -202,7 +202,7 @@ steps = st.lists(
 def test_matches_heap_reference(minpts, ops):
     store, ref = NeighborStore(minpts), HeapNeighborStore(minpts)
     for x in range(4):
-        store.register(x)
+        store.fill(x, ())
         ref.register(x)
     for x, y, v in ops:
         v = float(v)
@@ -240,7 +240,7 @@ def test_fill_matches_observe_replay(minpts, offers):
     x = 99
     filled, replayed = NeighborStore(minpts), NeighborStore(minpts)
     filled.fill(x, offers)
-    replayed.register(x)
+    replayed.fill(x, ())
     for y, v in offers:
         replayed.observe(x, y, v)
     assert list(filled.dists[x].items()) == list(replayed.dists[x].items())
