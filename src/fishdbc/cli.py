@@ -19,6 +19,7 @@ import numpy as np
 from . import dataio, distances, metrics, oracle
 from .dataio import ParseError
 from .engine import FISHDBC
+from .hierarchy import check_min_cluster_size
 
 __all__ = ["main"]
 
@@ -27,7 +28,6 @@ def _engine_args(sub):
     sub.add_argument("--minpts", type=int, default=10)
     sub.add_argument("--ef", type=int, default=20)
     sub.add_argument("--min-cluster-size", type=int, default=None)
-    sub.add_argument("--alpha", type=float, default=32.0)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -88,15 +88,24 @@ def build_parser():
     return parser
 
 
-def _make_engine(args, record_pairs=False):
+def _dataset_distance(args):
+    """The distance --distance names, checked against --format."""
+    if not args.format or not args.distance:
+        raise ValueError("--input requires --format and --distance")
     distance = distances.by_name(args.distance)
     dataio.check_format_distance(args.format, args.distance)
+    return distance
+
+
+def _make_engine(args, record_pairs=False):
+    distance = _dataset_distance(args)
+    # Applied by cluster(), but checked before any item is read.
+    if args.min_cluster_size is not None:
+        check_min_cluster_size(args.min_cluster_size)
     return FISHDBC(
         distance,
         minpts=args.minpts,
         ef=args.ef,
-        min_cluster_size=args.min_cluster_size,
-        alpha=args.alpha,
         rng_seed=args.seed,
         record_pairs=record_pairs,
     )
@@ -129,7 +138,7 @@ def cmd_cluster(args):
     build_seconds = time.perf_counter() - t0
     _require_items(engine.n, args.input)
     t0 = time.perf_counter()
-    result = engine.cluster()
+    result = engine.cluster(min_cluster_size=args.min_cluster_size)
     cluster_seconds = time.perf_counter() - t0
     summary = dataio.write_result(
         result,
@@ -163,7 +172,7 @@ def cmd_stream(args):
         nonlocal step, prev_calls
         step += 1
         t0 = time.perf_counter()
-        result = engine.cluster()
+        result = engine.cluster(min_cluster_size=args.min_cluster_size)
         cluster_seconds = time.perf_counter() - t0
         out_dir = os.path.join(args.out, f"step_{step:05d}")
         dataio.write_result(
@@ -209,6 +218,7 @@ def cmd_eval(args):
     # Silhouette needs two clustered items, so a smaller cap could only skip.
     if args.silhouette_cap < 2:
         raise ValueError(f"--silhouette-cap must be >= 2 (got {args.silhouette_cap})")
+    distance = _dataset_distance(args) if args.input else None
     ref = dataio.read_labels(args.labels)
     pred = dataio.read_labels(args.pred)
     if ref.shape != pred.shape:
@@ -224,10 +234,6 @@ def cmd_eval(args):
         value = scores[key]
         print(f"{key}={value:.6f}" if isinstance(value, float) else f"{key}={value}")
     if args.input:
-        if not args.format or not args.distance:
-            raise ValueError("--input requires --format and --distance")
-        distance = distances.by_name(args.distance)
-        dataio.check_format_distance(args.format, args.distance)
         items = list(dataio.read_dataset(args.format, args.input))
         if len(items) != len(pred):
             raise ParseError(
@@ -255,6 +261,10 @@ def cmd_oracle(args):
     sources = sum(1 for v in (args.input, args.matrix, args.mask_from) if v)
     if sources != 1:
         raise ValueError("oracle needs exactly one of --input, --matrix, --mask-from")
+    if args.minpts < 1:
+        raise ValueError(f"minpts must be >= 1 (got {args.minpts})")
+    m_cs = args.minpts if args.min_cluster_size is None else args.min_cluster_size
+    check_min_cluster_size(m_cs)
     calls = 0
     if args.mask_from:
         n, pairs = dataio.read_distance_log(args.mask_from)
@@ -262,10 +272,7 @@ def cmd_oracle(args):
     elif args.matrix:
         matrix = dataio.read_matrix(args.matrix)
     else:
-        if not args.format or not args.distance:
-            raise ValueError("--input requires --format and --distance")
-        distance = distances.by_name(args.distance)
-        dataio.check_format_distance(args.format, args.distance)
+        distance = _dataset_distance(args)
         items = list(dataio.read_dataset(args.format, args.input))
         n = len(items)
         _require_items(n, args.input)
@@ -282,7 +289,7 @@ def cmd_oracle(args):
                 matrix[j, i] = d
                 calls += 1
     t0 = time.perf_counter()
-    result = oracle.exact_cluster(matrix, args.minpts, args.min_cluster_size)
+    result = oracle.exact_cluster(matrix, args.minpts, m_cs)
     seconds = time.perf_counter() - t0
     summary = dataio.write_result(
         result,

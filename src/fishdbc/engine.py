@@ -5,7 +5,7 @@ into the HNSW is tapped and used twice: it updates both endpoints' sets of
 nearest neighbors (which define core distances) and it feeds candidate
 edges of the mutual-reachability graph into a bounded buffer. The buffer is
 an append-only log: a pair pushed again is held again, and at the flush its
-lightest copy wins. When the log holds more than ``alpha * n`` raw entries,
+lightest copy wins. When the log holds more than ``ALPHA * n`` raw entries,
 copies included, it is folded into the approximate minimum spanning forest
 with Filter-Kruskal. Clustering at any point flushes the buffer and extracts
 the hierarchy from the forest.
@@ -25,12 +25,15 @@ import math
 
 import numpy as np
 
-from .hierarchy import build_dendrogram, condense, extract_flat
+from .hierarchy import build_dendrogram, check_min_cluster_size, condense, extract_flat
 from .hnsw import Hnsw
-from .msf import CandidateBuffer, Msf, should_flush, update_msf
+from .msf import CandidateBuffer, Msf, update_msf
 from .neighbors import NeighborStore
 
 __all__ = ["FISHDBC"]
+
+# Flush threshold in log entries per item; no output depends on when flushes run.
+ALPHA = 32.0
 
 
 class FISHDBC:
@@ -43,21 +46,13 @@ class FISHDBC:
     ``cluster`` must not run concurrently.
     """
 
-    def __init__(self, distance, *, minpts=10, ef=20, min_cluster_size=None,
-                 alpha=32.0, rng_seed=0, record_pairs=False):
+    def __init__(self, distance, *, minpts=10, ef=20, rng_seed=0,
+                 record_pairs=False):
         # NeighborStore rejects minpts < 2 before math.log(minpts) runs.
         self._neighbors = NeighborStore(minpts)
-        # Each bound is written so that NaN fails it.
+        # Written so that NaN fails it.
         if not ef >= 1:
             raise ValueError(f"ef must be >= 1 (got {ef})")
-        if min_cluster_size is None:
-            min_cluster_size = minpts
-        if not min_cluster_size >= 2:
-            raise ValueError(f"min_cluster_size must be >= 2 (got {min_cluster_size})")
-        if not 1 <= alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 1 (got {alpha})")
-        self.min_cluster_size = min_cluster_size
-        self.alpha = alpha
         self._items = []
         self._rng = np.random.default_rng(rng_seed)
         # The HNSW paper's recommended settings (Malkov & Yashunin):
@@ -92,13 +87,6 @@ class FISHDBC:
     def distance_calls(self):
         """Total raw distance evaluations performed so far."""
         return self._distance_calls
-
-    @property
-    def candidate_count(self):
-        """Entries the candidate buffer holds: the triples and evictions
-        appended since the last flush, copies of a pair included. This is
-        the count that ``alpha * n`` bounds."""
-        return len(self._buf)
 
     def pair_log(self):
         """All computed pairs as {(i, j): distance}, i < j.
@@ -171,7 +159,7 @@ class FISHDBC:
                 if cur is None or v < cur:
                     log[key] = v
 
-        if should_flush(len(buf), len(self._items), self.alpha):
+        if len(buf) > ALPHA * len(self._items):
             self.flush()
         return x
 
@@ -179,6 +167,8 @@ class FISHDBC:
         """Fold buffered candidate edges into the spanning forest.
 
         Callable at any idle point between adds; a no-op on an empty buffer.
+        Results do not depend on when flushes run, so a caller that wants a
+        buffer smaller than ALPHA * n may flush more often than ``add`` does.
         """
         buf = self._buf
         dirty = self._dirty
@@ -200,15 +190,16 @@ class FISHDBC:
     def cluster(self, min_cluster_size=None):
         """Extract the hierarchy and a flat labeling from the current state.
 
-        Repeatable: without intervening adds, repeated calls return
-        identical results.
+        ``min_cluster_size`` defaults to ``minpts``; any value >= 2 cuts the
+        same state coarser or finer. Repeatable: without intervening adds,
+        repeated calls return identical results.
         """
         if not self._items:
             raise ValueError("nothing to cluster: no items added")
-        m_cs = self.min_cluster_size if min_cluster_size is None else min_cluster_size
-        if not m_cs >= 2:
-            raise ValueError(f"min cluster size must be >= 2 (got {m_cs})")
+        if min_cluster_size is None:
+            min_cluster_size = self._neighbors.minpts
+        check_min_cluster_size(min_cluster_size)
         self.flush()
         n = len(self._items)
         dend = build_dendrogram(self._msf.lo, self._msf.hi, self._msf.weight, n)
-        return extract_flat(condense(dend, m_cs))
+        return extract_flat(condense(dend, min_cluster_size))

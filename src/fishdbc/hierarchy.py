@@ -28,6 +28,7 @@ __all__ = [
     "CondensedTree",
     "ClusterResult",
     "build_dendrogram",
+    "check_min_cluster_size",
     "condense",
     "extract_flat",
     "tree_to_dict",
@@ -114,6 +115,12 @@ def build_dendrogram(lo, hi, weight, n):
     return Dendrogram(n_points=n, left=left, right=right, weight=weight, size=size)
 
 
+def check_min_cluster_size(m_cs):
+    """Raise ValueError unless m_cs >= 2; NaN fails too."""
+    if not m_cs >= 2:
+        raise ValueError(f"min_cluster_size must be >= 2 (got {m_cs})")
+
+
 def condense(dend, m_cs):
     """Keep only splits where both sides have at least m_cs items.
 
@@ -121,8 +128,7 @@ def condense(dend, m_cs):
     events and the cluster identity continues down the other side; when both
     sides are undersized, all remaining points fall out and the cluster ends.
     """
-    if not m_cs >= 2:
-        raise ValueError(f"min cluster size must be >= 2 (got {m_cs})")
+    check_min_cluster_size(m_cs)
     n = dend.n_points
     left = dend.left.tolist()
     right = dend.right.tolist()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _accel
 
-__all__ = ["CandidateBuffer", "Msf", "should_flush", "spanning_forest", "update_msf"]
+__all__ = ["CandidateBuffer", "Msf", "spanning_forest", "update_msf"]
 
 _SHIFT = 32
 _MASK = (1 << _SHIFT) - 1
@@ -31,7 +31,7 @@ class CandidateBuffer:
     A pair pushed again is appended again, not merged; its lightest copy
     is the one that counts, because the flush's Kruskal sweep meets it
     first and rejects every later copy. ``len`` counts the raw entries,
-    copies included, and that is what the flush threshold ``alpha * n``
+    copies included, and that is what the flush threshold ``ALPHA * n``
     bounds. +inf weights are accepted and dropped at the flush.
     """
 
@@ -97,11 +97,6 @@ class Msf:
             (int(a), int(b), float(w))
             for a, b, w in zip(self.lo, self.hi, self.weight)
         ]
-
-
-def should_flush(buffer_len, n, alpha):
-    """True when the candidate buffer exceeds alpha * n entries."""
-    return buffer_len > alpha * n
 
 
 def spanning_forest(lo, hi, w, n):

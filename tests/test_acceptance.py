@@ -11,6 +11,7 @@ import pytest
 
 from helpers import canonical_labels
 from fishdbc import FISHDBC, dataio, distances, metrics, oracle
+from fishdbc.engine import ALPHA
 from fishdbc.hierarchy import build_dendrogram, condense, extract_flat
 from fishdbc.msf import CandidateBuffer, Msf, update_msf
 
@@ -58,7 +59,7 @@ def test_criterion_1_masked_matrix_equivalence():
             engine = run_engine(payloads, dist, minpts, ef=20, seed=trial)
             result = engine.cluster()
             masked = oracle.matrix_from_pairs(n, engine.pair_log())
-            exact = oracle.exact_cluster(masked, minpts, engine.min_cluster_size)
+            exact = oracle.exact_cluster(masked, minpts, minpts)
 
             # Mutual-reachability weights tie through shared core distances;
             # both sides break ties by (w, lo, hi), so the forests must agree
@@ -205,8 +206,7 @@ def scaling_run():
     """Shared 20,000-point run for criteria 6 and 7."""
     rng = np.random.default_rng(123)
     data = rng.random((20000, 10))
-    alpha = 32.0
-    engine = FISHDBC(distances.euclidean, minpts=10, ef=20, alpha=alpha, rng_seed=99)
+    engine = FISHDBC(distances.euclidean, minpts=10, ef=20, rng_seed=99)
     per_insert_calls = np.empty(20000, dtype=np.int64)
     bound_ok = True
     max_ratio = 0.0
@@ -216,9 +216,9 @@ def scaling_run():
         per_insert_calls[k] = engine.distance_calls - prev
         prev = engine.distance_calls
         n = engine.n
-        if engine.candidate_count > alpha * n + engine.last_add_pushes:
+        if len(engine._buf) > ALPHA * n:
             bound_ok = False
-        ratio = (len(engine._msf) + engine.candidate_count) / n
+        ratio = (len(engine._msf) + len(engine._buf)) / n
         if ratio > max_ratio:
             max_ratio = ratio
     return per_insert_calls, bound_ok, max_ratio
@@ -240,14 +240,14 @@ def test_criterion_6_distance_call_scaling(scaling_run):
 
 
 def test_criterion_7_buffer_bound(scaling_run):
-    """Candidate buffer stays within alpha * n plus the insertion burst and
-    total stored edges stay linear in n.
+    """Candidate buffer stays within ALPHA * n after every add and total
+    stored edges stay linear in n.
     """
     with criterion(7, "candidate buffer bound"):
         _, bound_ok, max_ratio = scaling_run
         print(f"(criterion 7: max stored-edges/n ratio={max_ratio:.1f})")
-        assert bound_ok, "|candidates| exceeded alpha*n + burst after an add"
-        assert max_ratio <= 33.0  # n-1 forest edges plus alpha*n candidates
+        assert bound_ok, "|candidates| exceeded ALPHA*n after an add"
+        assert max_ratio <= 33.0  # n-1 forest edges plus ALPHA*n candidates
 
 
 def test_criterion_8_metric_correctness():

@@ -66,14 +66,29 @@ class TestClusterCommand:
         ])
         assert code == 2
 
-    def test_bad_config_exit_1(self, tmp_path):
-        data, _ = write_blobs(tmp_path)
-        for bad in (["--minpts", "1"], ["--alpha", "nan"]):
-            code = main([
-                "cluster", "--input", str(data), "--format", "dense-csv",
-                "--distance", "euclidean", *bad, "--out", str(tmp_path / "x"),
-            ])
-            assert code == 1, bad
+    def test_bad_config_exit_1(self, tmp_path, capsys):
+        # Rejected as usage errors before any work: reading the missing
+        # dataset would exit 2, and eval would print its scores first.
+        missing = str(tmp_path / "missing.csv")
+        ref = tmp_path / "ref.csv"
+        dataio.write_labels(ref, [0] * 5 + [1] * 5)
+        data = ["--input", missing, "--format", "dense-csv", "--distance", "euclidean"]
+        out = ["--out", str(tmp_path / "x")]
+        scored = ["eval", "--pred", str(ref), "--labels", str(ref), "--input", missing]
+        for argv in (
+            ["cluster", *data, "--minpts", "1", *out],
+            ["cluster", *data, "--min-cluster-size", "1", *out],
+            ["stream", *data, "--chunk", "5", "--min-cluster-size", "1", *out],
+            ["oracle", *data, "--min-cluster-size", "1", *out],
+            ["oracle", *data, "--minpts", "1", *out],
+            ["oracle", *data, "--minpts", "0", "--min-cluster-size", "5", *out],
+            scored,
+            [*scored, "--format", "dense-csv"],
+            [*scored, "--format", "dense-csv", "--distance", "nope"],
+            [*scored, "--format", "set-lines", "--distance", "euclidean"],
+        ):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().out == "", argv
 
     def test_seed_reproducibility_byte_identical(self, tmp_path):
         data, _ = write_blobs(tmp_path)
@@ -107,16 +122,34 @@ class TestClusterCommand:
         args = build_parser().parse_args([
             command, "--input", "x.csv", "--format", "dense-csv",
             "--distance", "euclidean", "--out", "x", *extra,
-            "--minpts", "7", "--ef", "33", "--min-cluster-size", "12",
-            "--alpha", "4.5", "--seed", "21",
+            "--minpts", "7", "--ef", "33", "--seed", "21",
         ])
         engine = _make_engine(args)
         assert engine._neighbors.minpts == 7
         assert engine._hnsw._ef == 33
-        assert engine.min_cluster_size == 12
-        assert engine.alpha == 4.5
         seeded = np.random.default_rng(21).bit_generator.state
         assert engine._rng.bit_generator.state == seeded
+
+    @pytest.mark.parametrize("command, extra, labels", [
+        ("cluster", [], "labels.csv"),
+        ("stream", ["--chunk", "120"], "step_00001/labels.csv"),
+    ])
+    def test_min_cluster_size_applied_when_clustering(self, tmp_path, command,
+                                                      extra, labels):
+        # Blobs of 68 and 52 items: two clusters at the default size
+        # (minpts), none once a cluster needs 60 items.
+        data, _ = write_blobs(tmp_path)
+        clusters = []
+        for size in ([], ["--min-cluster-size", "60"]):
+            out = tmp_path / f"out{len(clusters)}"
+            assert main([
+                command, "--input", str(data), "--format", "dense-csv",
+                "--distance", "euclidean", "--minpts", "4", *extra, *size,
+                "--out", str(out),
+            ]) == 0
+            found = dataio.read_labels(out / labels)
+            clusters.append(len(set(found.tolist()) - {-1}))
+        assert clusters == [2, 0]
 
     def test_ef_increases_distance_calls(self, tmp_path):
         data, _ = write_blobs(tmp_path, n=150)

@@ -140,7 +140,7 @@ class TestLabels:
 
 class TestWriteResult:
     def run_result(self, rng):
-        engine = FISHDBC(distances.euclidean, minpts=2, min_cluster_size=2, rng_seed=0)
+        engine = FISHDBC(distances.euclidean, minpts=2, rng_seed=0)
         pts = np.vstack(
             [rng.normal(0, 0.01, (5, 2)), rng.normal(0, 0.01, (5, 2)) + 10]
         )

@@ -12,7 +12,8 @@ import fishdbc
 from helpers import buffered_weight, canonical_labels, noisy_strings, two_blob_points
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
-from fishdbc.msf import should_flush, spanning_forest
+from fishdbc.engine import ALPHA
+from fishdbc.msf import spanning_forest
 from test_distances import loop_jaro_winkler
 
 
@@ -21,15 +22,18 @@ class TestConfig:
         engine = FISHDBC(distances.euclidean)
         assert engine._neighbors.minpts == 10
         assert engine._hnsw._ef == 20
-        assert engine.min_cluster_size == 10
-        assert engine.alpha == 32.0
         # HNSW degrees and level multiplier follow from minpts alone.
         assert engine._hnsw._m == 10
         assert engine._hnsw._m0 == 20
         assert engine._hnsw._level_mult == 1.0 / math.log(10)
 
-    def test_mcs_defaults_to_minpts(self):
-        assert FISHDBC(distances.euclidean, minpts=7).min_cluster_size == 7
+    def test_mcs_defaults_to_minpts(self, rng):
+        engine = FISHDBC(distances.euclidean, minpts=7)
+        for row in rng.random((150, 2)):
+            engine.add(row)
+        trees = {m: engine.cluster(min_cluster_size=m).condensed.clusters
+                 for m in (None, 7, 8)}
+        assert trees[None] == trees[7] != trees[8]
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -37,9 +41,9 @@ class TestConfig:
             ({"minpts": 1}, "minpts"),
             ({"ef": 0}, "ef"),
             ({"min_cluster_size": 1}, "min_cluster_size"),
-            ({"alpha": 0.5}, "alpha"),
-            ({"alpha": math.nan}, "alpha"),
-            ({"alpha": math.inf}, "alpha"),
+            ({"min_cluster_size": 0}, "min_cluster_size"),
+            ({"min_cluster_size": -math.inf}, "min_cluster_size"),
+            ({"ef": -math.inf}, "ef"),
             ({"ef": math.nan}, "ef"),
             ({"minpts": math.nan}, "minpts"),
             ({"min_cluster_size": math.nan}, "min_cluster_size"),
@@ -48,8 +52,17 @@ class TestConfig:
         ],
     )
     def test_bounds_reported(self, kwargs, fragment):
+        # min_cluster_size is a knob of cluster(), which checks it before it
+        # flushes; the constructor checks the rest.
+        kwargs = dict(kwargs)
+        m_cs = kwargs.pop("min_cluster_size", None)
         with pytest.raises(ValueError, match=fragment):
-            FISHDBC(distances.euclidean, **kwargs)
+            engine = FISHDBC(distances.euclidean, **kwargs)
+            engine.add(np.zeros(2))
+            engine.add(np.ones(2))
+            engine.cluster(min_cluster_size=m_cs)
+        if m_cs is not None:
+            assert len(engine._buf) == 1  # rejected before the flush
 
     def test_numpy_integer_minpts_accepted(self):
         engine = FISHDBC(distances.euclidean, minpts=np.int64(3))
@@ -62,7 +75,7 @@ class TestSetup:
     def test_empty_state(self):
         engine = FISHDBC(distances.euclidean)
         assert engine.n == 0
-        assert engine.candidate_count == 0
+        assert len(engine._buf) == 0
         assert engine.forest_edges() == []
         assert engine.distance_calls == 0
 
@@ -88,7 +101,10 @@ class TestSetup:
         # Knobs are keyword-only, and the HNSW ones follow from minpts.
         with pytest.raises(TypeError):
             FISHDBC(distances.euclidean, 10)
-        for knob, value in (("hnsw_m", 5), ("hnsw_m0", 10), ("level_mult", 0.5)):
+        # The flush threshold is the constant ALPHA; min_cluster_size is
+        # given to cluster().
+        for knob, value in (("hnsw_m", 5), ("hnsw_m0", 10), ("level_mult", 0.5),
+                            ("alpha", 32.0), ("min_cluster_size", 10)):
             with pytest.raises(TypeError, match=knob):
                 FISHDBC(distances.euclidean, **{knob: value})
 
@@ -98,7 +114,7 @@ class TestAdd:
         engine = FISHDBC(distances.euclidean)
         assert engine.add(np.zeros(2)) == 0
         assert engine.distance_calls == 0
-        assert engine.candidate_count == 0
+        assert len(engine._buf) == 0
 
     def test_second_item(self):
         engine = FISHDBC(distances.euclidean, minpts=2)
@@ -118,7 +134,7 @@ class TestAdd:
             engine.add(rng.random(2))
         n_before = engine.n
         calls_before = engine.distance_calls
-        cand_before = engine.candidate_count
+        cand_before = len(engine._buf)
 
         bad = object()
 
@@ -132,7 +148,7 @@ class TestAdd:
             engine.add(bad)
         assert engine.n == n_before
         assert engine.distance_calls == calls_before
-        assert engine.candidate_count == cand_before
+        assert len(engine._buf) == cand_before
         engine._hnsw._distance = distances.euclidean
         assert engine.add(rng.random(2)) == n_before
 
@@ -163,15 +179,14 @@ class TestAdd:
         # After a flush, the forest must be the minimum spanning forest of
         # every computed pair weighted by the mutual reachability distance
         # that the known distances imply, recomputed by replaying the pair
-        # log. alpha = 1 makes the engine flush on its own in between.
+        # log. A flush after every add puts many flushes in between.
         minpts = 4
-        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, alpha=1,
-                         record_pairs=True)
+        engine = FISHDBC(distances.euclidean, minpts=minpts, ef=20, record_pairs=True)
         for k, row in enumerate(rng.random((120, 2)), 1):
             engine.add(row)
+            engine.flush()
             if k % 10:
                 continue
-            engine.flush()
             pairs = engine.pair_log()
             # Replay: rebuild each item's neighbor list from the log alone.
             known = {i: [] for i in range(k)}
@@ -189,15 +204,17 @@ class TestAdd:
             assert engine.forest_edges() == expected, k
 
     def test_buffer_bound_after_every_add(self, rng):
-        alpha = 2.0
-        engine = FISHDBC(distances.euclidean, minpts=3, ef=10, alpha=alpha)
+        # add() flushes whenever the log exceeds ALPHA * n, so the bound is
+        # exact, with no slack for the last insertion's pushes. These 10-d
+        # points make add() flush several times.
+        engine = FISHDBC(distances.euclidean)
         for k in range(300):
-            engine.add(rng.random(2))
-            n = engine.n
-            assert engine.candidate_count <= alpha * n + engine.last_add_pushes
+            engine.add(rng.random(10))
+            assert len(engine._buf) <= ALPHA * engine.n
+        assert engine.forest_edges()
         # Stored edges stay linear in n: forest plus buffer.
-        total = len(engine.forest_edges()) + engine.candidate_count
-        assert total <= (engine.n - 1) + alpha * engine.n + engine.last_add_pushes
+        total = len(engine.forest_edges()) + len(engine._buf)
+        assert total <= (engine.n - 1) + ALPHA * engine.n
 
 
 class TestCluster:
@@ -216,7 +233,7 @@ class TestCluster:
 
     def test_two_blobs_match_brute_force(self, rng):
         data = two_blob_points(rng, per_blob=100, sep=10.0, std=0.05)
-        engine = FISHDBC(distances.euclidean, minpts=5, min_cluster_size=5, rng_seed=3)
+        engine = FISHDBC(distances.euclidean, minpts=5, rng_seed=3)
         for row in data:
             engine.add(row)
         result = engine.cluster()
@@ -336,10 +353,11 @@ class TestStateSizeInvariant:
                         assert v <= seen[key]
                     seen[key] = v
 
-        engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=2, alpha=1)
+        engine = FISHDBC(distances.euclidean, minpts=3, rng_seed=2)
         engine._buf = CheckingBuffer()
         for _ in range(120):
             engine.add(rng.random(2))
+            engine.flush()
         assert seen
 
 
@@ -422,7 +440,7 @@ class TestBatchedTap:
         def unflushed(engine):
             layers = [{x: dict(adj) for x, adj in layer.items()}
                       for layer in engine._hnsw._layers]
-            return (engine.n, engine.distance_calls, engine.candidate_count,
+            return (engine.n, engine.distance_calls, len(engine._buf),
                     engine.pair_log(), layers)
 
         def run(fail_at):
@@ -525,7 +543,7 @@ class ReferenceFISHDBC(FISHDBC):
                 buf.push(y, z, w)
         self.last_add_pushes = len(buf) - before
 
-        if should_flush(len(buf), len(self._items), self.alpha):
+        if len(buf) > ALPHA * len(self._items):
             self.flush()
         return x
 
@@ -566,7 +584,7 @@ class TestCoreFilter:
         ids=["blobs", "strings", "duplicates"],
     )
     def test_same_state_as_reference_after_every_add(self, distance, items, seed):
-        engines = [cls(distance, rng_seed=seed, alpha=1e9, record_pairs=True)
+        engines = [cls(distance, rng_seed=seed, record_pairs=True)
                    for cls in (FISHDBC, ReferenceFISHDBC)]
         for k, item in enumerate(items(seed), 1):
             states = []
@@ -588,7 +606,8 @@ class TestCoreFilter:
 
 class TestFlushSchedule:
     """The forest is a minimum spanning forest of every edge pushed so far,
-    whenever the flushes ran, so the flush threshold leaves no trace."""
+    whenever the flushes ran, so the flush threshold ALPHA leaves no trace:
+    flushing after every add gives what the threshold's schedule gives."""
 
     @pytest.mark.parametrize(
         "distance, items",
@@ -596,14 +615,17 @@ class TestFlushSchedule:
         ids=["blobs", "strings"],
     )
     def test_alpha_changes_no_output(self, distance, items):
-        eager, lazy = (FISHDBC(distance, rng_seed=1, alpha=alpha) for alpha in (1, 1e9))
+        eager, lazy = (FISHDBC(distance, rng_seed=1, record_pairs=True)
+                       for _ in range(2))
         for k, item in enumerate(items(1), 1):
             eager.add(item)
+            eager.flush()
             lazy.add(item)
             if k % 25 == 0:
-                # Only the lazy engine holds more than n entries unflushed.
-                assert eager.candidate_count <= k < lazy.candidate_count
-                got, want = ((e.cluster().labels.tolist(), e.forest_edges())
+                # Only the lazy engine holds entries unflushed.
+                assert len(eager._buf) == 0 < len(lazy._buf)
+                got, want = ((e.cluster().labels.tolist(), e.forest_edges(),
+                              e.distance_calls, e.pair_log())
                              for e in (eager, lazy))
                 assert got == want
 

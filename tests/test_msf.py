@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import buffered_weight
-from fishdbc.msf import CandidateBuffer, Msf, should_flush, spanning_forest, update_msf
+from fishdbc.msf import CandidateBuffer, Msf, spanning_forest, update_msf
 
 
 def simple_kruskal(edges, n):
@@ -176,17 +176,6 @@ class TestWeigh:
         for k in range(1000):
             buf.push(k, k + 1, 1.0)
         assert len(buf) == 1001
-
-
-class TestShouldFlush:
-    def test_empty_buffer(self):
-        assert not should_flush(0, 10, 2.0)
-
-    def test_above_threshold(self):
-        assert should_flush(21, 10, 2.0)
-
-    def test_at_threshold_strict(self):
-        assert not should_flush(20, 10, 2.0)
 
 
 class TestUpdateMsf:
