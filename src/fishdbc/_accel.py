@@ -18,17 +18,16 @@ def _find(parent, x):
     return x
 
 
-def kruskal_mask(lo, hi, n, parent=None):
+def kruskal_mask(lo, hi, parent):
     """Accept/reject mask for edges already sorted by (weight, lo, hi).
 
-    ``lo`` and ``hi`` are C-contiguous int64 arrays of node ids below n.
-    ``parent`` is the union-find to sweep into, a list of n ints that the
-    sweep updates in place; by default every node starts alone. Sweeping
-    consecutive chunks of one sorted edge list into the same ``parent``
-    gives the masks of one sweep over the whole list.
+    ``lo`` and ``hi`` are C-contiguous int64 arrays of node ids.
+    ``parent`` is the union-find to sweep into, a list of ints indexed by
+    node id that the sweep updates in place; ``list(range(n))`` starts
+    every node alone. Sweeping consecutive chunks of one sorted edge list
+    into the same ``parent`` gives the masks of one sweep over the whole
+    list.
     """
-    if parent is None:
-        parent = list(range(n))
     keep = bytearray(len(lo))
     for k, (a, b) in enumerate(zip(memoryview(lo), memoryview(hi))):
         a = _find(parent, a)

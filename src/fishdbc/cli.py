@@ -340,7 +340,11 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (exit 2) or the help (exit 0).
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:

@@ -21,8 +21,6 @@ the forest is a true minimum spanning forest of the reachability graph
 restricted to computed pairs.
 """
 
-import math
-
 import numpy as np
 
 from .hierarchy import build_dendrogram, check_min_cluster_size, condense, extract_flat
@@ -48,25 +46,20 @@ class FISHDBC:
 
     def __init__(self, distance, *, minpts=10, ef=20, rng_seed=0,
                  record_pairs=False):
-        # NeighborStore rejects minpts < 2 before math.log(minpts) runs.
+        # NeighborStore rejects minpts < 2 before the HNSW takes ln(minpts).
         self._neighbors = NeighborStore(minpts)
         # Written so that NaN fails it.
         if not ef >= 1:
             raise ValueError(f"ef must be >= 1 (got {ef})")
         self._items = []
-        self._rng = np.random.default_rng(rng_seed)
-        # The HNSW paper's recommended settings (Malkov & Yashunin):
-        # M = minpts, M_max0 = 2M and level multiplier m_L = 1 / ln M.
-        # The HNSW reads distances the neighbor sets hold instead of
-        # recomputing them.
+        # The HNSW degree target is M = minpts. The HNSW reads distances
+        # the neighbor sets hold instead of recomputing them.
         self._hnsw = Hnsw(
             distance,
             self._items,
             m=minpts,
-            m0=2 * minpts,
             ef=ef,
-            level_mult=1.0 / math.log(minpts),
-            rng=self._rng,
+            rng=np.random.default_rng(rng_seed),
             neighbor_dists=self._neighbors.dists,
         )
         self._buf = CandidateBuffer()
@@ -124,10 +117,11 @@ class FISHDBC:
 
         # Neighbor set updates for both endpoints of every triple; each
         # triple and each eviction is appended with its raw distance, for
-        # the flush to weigh. The values are finite, and ``observe`` returns
-        # (False, None) and changes nothing when offered v >= core[a], so
-        # only a distance below the endpoint's core distance is offered to
-        # its set. Triples are (lo, hi, v) and x is the largest id, so x's
+        # the flush to weigh. The values are finite, and ``observe`` changes
+        # nothing when offered v >= core[a], so only a distance below the
+        # endpoint's core distance is offered to its set. The HNSW never
+        # evaluates a pair either set holds, so such an offer always changes
+        # the set. Triples are (lo, hi, v) and x is the largest id, so x's
         # triples are those with b == x: x's set is filled from them at
         # once, and all of x's pairs are in the buffer already.
         before = len(buf)
@@ -135,19 +129,17 @@ class FISHDBC:
         for a, b, v in triples:
             push(a, b, v)
             if v < core[a]:
-                improved, ev = observe(a, b, v)
-                if improved:
-                    dirty.add(a)
-                    if ev is not None:
-                        push(a, ev[0], ev[1])
+                ev = observe(a, b, v)[1]
+                dirty.add(a)
+                if ev is not None:
+                    push(a, ev[0], ev[1])
             if b == x:
                 offers.append((a, v))
             elif v < core[b]:
-                improved, ev = observe(b, a, v)
-                if improved:
-                    dirty.add(b)
-                    if ev is not None:
-                        push(b, ev[0], ev[1])
+                ev = observe(b, a, v)[1]
+                dirty.add(b)
+                if ev is not None:
+                    push(b, ev[0], ev[1])
         ns.fill(x, offers)
         self.last_add_pushes = len(buf) - before
 

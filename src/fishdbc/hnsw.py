@@ -59,14 +59,14 @@ class _Recorder:
     pair yields exactly one triple. ``many`` evaluates one item against a
     list of others, in one call of the distance's batched form when it has
     one (``distances.MANY``) and two or more of the pairs are unknown.
-    ``cached`` also reads the index's pair cache (``recent``, ``older``;
-    empty by default) and collects the pairs it serves in ``served``,
-    which only the insertion's commit writes back.
+    ``cached`` also reads the index's pair cache (``recent``, ``older``)
+    and collects the pairs it serves in ``served``, which only the
+    insertion's commit writes back.
     """
 
     __slots__ = ("fn", "batched", "items", "raw", "memo", "recent", "older", "served")
 
-    def __init__(self, fn, items, recent=_EMPTY, older=_EMPTY):
+    def __init__(self, fn, items, recent, older):
         self.fn = fn
         try:
             self.batched = MANY.get(fn)
@@ -147,31 +147,28 @@ class Hnsw:
 
     ``items`` is a shared sequence of payloads owned by the caller; the id of
     an item is its index in that sequence. ``m`` is the per-layer degree
-    target (``m0`` applies to layer 0) and ``ef`` the construction beam width.
+    target and ``ef`` the construction beam width.
     ``neighbor_dists`` is the caller's ``{item: {neighbor: distance}}`` map
     of distances it already holds, read but never written here; every value
     in it must have come from a triple this index returned.
     """
 
-    def __init__(self, distance, items, m, m0, ef, level_mult, rng, neighbor_dists):
+    def __init__(self, distance, items, m, ef, rng, neighbor_dists):
         self._distance = distance
         self._neighbor_dists = neighbor_dists
         self._items = items
+        # Malkov & Yashunin's recommended settings: layer 0 holds up to
+        # M_max0 = 2M links and levels are drawn with m_L = 1 / ln M.
         self._m = m
-        self._m0 = m0
+        self._m0 = 2 * m
         self._ef = ef
-        self._level_mult = level_mult
+        self._level_mult = 1.0 / math.log(m)
         self._rng = rng
         self._layers = []  # layer 0 first; each: {node: {neighbor: dist}}
         self._entry = None
         # Two generations of heuristic pairs, keyed lo << 32 | hi.
         self._recent = {}
         self._older = {}
-
-    # Every inserted node is in layer 0; there are no layers before the
-    # first insert.
-    def __contains__(self, x):
-        return bool(self._layers) and x in self._layers[0]
 
     def assign_level(self):
         u = 1.0 - self._rng.random()  # in (0, 1]
@@ -188,7 +185,9 @@ class Hnsw:
         cache is written only once the insertion has made all its distance
         calls, so a failed insertion leaves it as it was.
         """
-        if x in self:
+        # Every inserted node is in layer 0; there are no layers before the
+        # first insert.
+        if self._layers and x in self._layers[0]:
             raise ValueError(f"item {x} already inserted")
         rec = _Recorder(self._distance, self._items, self._recent, self._older)
         # A failed insertion must not spend its level draw: later levels,

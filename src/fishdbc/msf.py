@@ -129,7 +129,7 @@ def spanning_forest(lo, hi, w, n):
             clo, chi, cw = lo, hi, w
         order = np.lexsort((chi, clo, cw))
         clo, chi, cw = clo[order], chi[order], cw[order]
-        keep = _accel.kruskal_mask(clo, chi, n, parent)
+        keep = _accel.kruskal_mask(clo, chi, parent)
         parts.append((clo[keep], chi[keep], cw[keep]))
         kept += len(parts[-1][0])
         if len(w) <= n:

@@ -54,7 +54,7 @@ class TestKruskalKernel:
             n = int(rng.integers(5, 60))
             m = int(rng.integers(1, n * (n - 1) // 2 + 1))
             lo, hi = self.rand_edges(rng, n, m)
-            got = _accel.kruskal_mask(lo, hi, n)
+            got = _accel.kruskal_mask(lo, hi, list(range(n)))
             want = reference_kruskal_mask(lo, hi, n)
             assert np.array_equal(got, want)
 
@@ -67,15 +67,15 @@ class TestKruskalKernel:
             lo, hi = self.rand_edges(rng, n, m)
             cut = int(rng.integers(1, m))
             parent = list(range(n))
-            first = _accel.kruskal_mask(lo[:cut].copy(), hi[:cut].copy(), n, parent)
-            second = _accel.kruskal_mask(lo[cut:].copy(), hi[cut:].copy(), n, parent)
-            whole = _accel.kruskal_mask(lo, hi, n)
+            first = _accel.kruskal_mask(lo[:cut].copy(), hi[:cut].copy(), parent)
+            second = _accel.kruskal_mask(lo[cut:].copy(), hi[cut:].copy(), parent)
+            whole = _accel.kruskal_mask(lo, hi, list(range(n)))
             assert np.array_equal(np.concatenate([first, second]), whole)
 
     def test_spanning_tree_size(self, rng):
         n = 20
         lo, hi = self.rand_edges(rng, n, n * (n - 1) // 2)
-        mask = _accel.kruskal_mask(lo, hi, n)
+        mask = _accel.kruskal_mask(lo, hi, list(range(n)))
         assert int(mask.sum()) == n - 1
 
 

@@ -77,6 +77,8 @@ class TestClusterCommand:
         scored = ["eval", "--pred", str(ref), "--labels", str(ref), "--input", missing]
         for argv in (
             ["cluster", *data, "--minpts", "1", *out],
+            ["cluster", *data, "--minpts", "abc", *out],
+            ["cluster", *data, "--minpts", "5", "--alpha", "4", *out],
             ["cluster", *data, "--min-cluster-size", "1", *out],
             ["stream", *data, "--chunk", "5", "--min-cluster-size", "1", *out],
             ["oracle", *data, "--min-cluster-size", "1", *out],
@@ -128,7 +130,7 @@ class TestClusterCommand:
         assert engine._neighbors.minpts == 7
         assert engine._hnsw._ef == 33
         seeded = np.random.default_rng(21).bit_generator.state
-        assert engine._rng.bit_generator.state == seeded
+        assert engine._hnsw._rng.bit_generator.state == seeded
 
     @pytest.mark.parametrize("command, extra, labels", [
         ("cluster", [], "labels.csv"),

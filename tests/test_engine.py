@@ -22,10 +22,14 @@ class TestConfig:
         engine = FISHDBC(distances.euclidean)
         assert engine._neighbors.minpts == 10
         assert engine._hnsw._ef == 20
+
+    @pytest.mark.parametrize("minpts", [2, 5, 10])
+    def test_hnsw_settings_follow_from_minpts(self, minpts):
         # HNSW degrees and level multiplier follow from minpts alone.
-        assert engine._hnsw._m == 10
-        assert engine._hnsw._m0 == 20
-        assert engine._hnsw._level_mult == 1.0 / math.log(10)
+        engine = FISHDBC(distances.euclidean, minpts=minpts)
+        assert engine._hnsw._m == minpts
+        assert engine._hnsw._m0 == 2 * minpts
+        assert engine._hnsw._level_mult == 1.0 / math.log(minpts)
 
     def test_mcs_defaults_to_minpts(self, rng):
         engine = FISHDBC(distances.euclidean, minpts=7)

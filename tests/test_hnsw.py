@@ -9,16 +9,12 @@ from fishdbc.distances import DistanceError, euclidean, jaro_winkler
 from fishdbc.hnsw import Hnsw, _Recorder
 
 
-def make_index(items, m=5, m0=10, ef=20, level_mult=None, seed=0, distance=euclidean):
-    if level_mult is None:
-        level_mult = 1.0 / math.log(m)
+def make_index(items, m=5, ef=20, seed=0, distance=euclidean):
     return Hnsw(
         distance,
         items,
         m=m,
-        m0=m0,
         ef=ef,
-        level_mult=level_mult,
         rng=np.random.default_rng(seed),
         neighbor_dists={},
     )
@@ -26,7 +22,8 @@ def make_index(items, m=5, m0=10, ef=20, level_mult=None, seed=0, distance=eucli
 
 class TestAssignLevel:
     def test_zero_multiplier_always_level_zero(self):
-        idx = make_index([], level_mult=0.0)
+        idx = make_index([])
+        idx._level_mult = 0.0
         assert all(idx.assign_level() == 0 for _ in range(1000))
 
     def test_unit_draw_gives_level_zero(self):
@@ -40,7 +37,7 @@ class TestAssignLevel:
 
     def test_level_distribution(self):
         # With m = 10 about 1/10th of draws should land at level >= 1.
-        idx = make_index([], m=10, level_mult=1.0 / math.log(10))
+        idx = make_index([], m=10)
         draws = 100_000
         above = sum(idx.assign_level() >= 1 for _ in range(draws))
         assert 0.08 <= above / draws <= 0.12
@@ -81,12 +78,12 @@ class TestInsert:
 
     def test_adjacency_symmetric_and_degree_capped(self, rng):
         items = [rng.random(3) for _ in range(300)]
-        m, m0 = 5, 10
-        idx = make_index(items, m=m, m0=m0, seed=4)
+        m = 5
+        idx = make_index(items, m=m, seed=4)
         for i in range(300):
             idx.insert(i)
         for level, layer in enumerate(idx._layers):
-            cap = m0 if level == 0 else m
+            cap = 2 * m if level == 0 else m
             for node, adj in layer.items():
                 assert len(adj) <= cap
                 for nbr in adj:
@@ -100,7 +97,8 @@ class TestDescent:
         # left: 3 calls there. The search on layer 0 meets 1 and 0 again and
         # answers them from the insertion's memo: no more calls.
         items = [np.array([v]) for v in (0.0, 1.0, 2.0, 2.1)]
-        idx = make_index(items, level_mult=0.0)
+        idx = make_index(items)
+        idx._level_mult = 0.0
         chain = {0: {1: 1.0}, 1: {0: 1.0, 2: 1.0}, 2: {1: 1.0}}
         idx._layers = [{node: dict(adj) for node, adj in chain.items()} for _ in range(2)]
         idx._entry = 0
@@ -157,7 +155,7 @@ class TestDistanceTap:
         n = 1000
         points = rng.random((n, 10))
         items = [points[i] for i in range(n)]
-        idx = make_index(items, m=10, m0=20, ef=20, seed=8)
+        idx = make_index(items, m=10, ef=20, seed=8)
         computed = set()
         for i in range(n):
             triples, _ = idx.insert(i)
@@ -180,7 +178,7 @@ class TestDistanceTap:
         n = 400
         points = rng.random((n, 2))
         items = [points[i] for i in range(n)]
-        idx = make_index(items, m=5, m0=10, ef=20, seed=9)
+        idx = make_index(items, m=5, ef=20, seed=9)
         parent = list(range(n))
 
         def find(a):
@@ -235,7 +233,7 @@ class TestBatchedTap:
 
     def test_memoized_pairs_are_not_recomputed(self, batches):
         items = [np.array([float(v)]) for v in range(5)]
-        rec = _Recorder(euclidean, items)
+        rec = _Recorder(euclidean, items, {}, {})
         assert rec(4, 1) == 3.0
         assert rec.many(4, [0, 1, 2]) == [4.0, 3.0, 2.0]
         assert batches == [2]  # only (4, 0) and (4, 2) were unknown
@@ -246,7 +244,7 @@ class TestBatchedTap:
 
     def test_unhandled_payloads_take_the_scalar_path(self):
         items = [np.zeros(2), np.ones(2), np.ones(3), np.ones(2)]
-        rec = _Recorder(euclidean, items)
+        rec = _Recorder(euclidean, items, {}, {})
         with pytest.raises(ValueError, match="dimension mismatch"):
             rec.many(0, [1, 2, 3])
         assert list(rec.memo) == [(0, 1)]
@@ -273,7 +271,8 @@ class TestBatchedTap:
         errors = []
         for distance in (euclidean, scalar_euclidean):
             items = list(points.copy())
-            idx = make_index(items, level_mult=0.0, distance=distance)
+            idx = make_index(items, distance=distance)
+            idx._level_mult = 0.0
             for i in range(199):
                 idx.insert(i)
             before = snapshot(idx), idx._entry, idx._rng.bit_generator.state
@@ -285,7 +284,7 @@ class TestBatchedTap:
                 idx.insert(199)
             errors.append(str(exc.value))
             assert (snapshot(idx), idx._entry, idx._rng.bit_generator.state) == before
-            assert 199 not in idx
+            assert 199 not in idx._layers[0]
             # only the built-in function fails inside a batch
             assert bool(batches) == (distance is euclidean)
         assert errors[0] == errors[1]
@@ -436,7 +435,7 @@ class TestAtomicity:
         with pytest.raises(DistanceError):
             idx.insert(49)
         assert idx._entry == entry_before
-        assert 49 not in idx
+        assert 49 not in idx._layers[0]
         got = [
             {node: dict(adj) for node, adj in layer.items()} for layer in idx._layers
         ]
