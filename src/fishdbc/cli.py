@@ -125,6 +125,14 @@ def _require_items(n, path):
         raise ParseError(f"{path}: no items to cluster")
 
 
+def _read_labels(path):
+    """dataio.read_labels, with fewer than two rows reported as bad data."""
+    labels = dataio.read_labels(path)
+    if len(labels) < 2:
+        raise ParseError(f"{path}: need at least two labeled items (got {len(labels)})")
+    return labels
+
+
 def _print_summary(summary):
     for key, value in summary.items():
         print(f"{key}={value}")
@@ -219,8 +227,8 @@ def cmd_eval(args):
     if args.silhouette_cap < 2:
         raise ValueError(f"--silhouette-cap must be >= 2 (got {args.silhouette_cap})")
     distance = _dataset_distance(args) if args.input else None
-    ref = dataio.read_labels(args.labels)
-    pred = dataio.read_labels(args.pred)
+    ref = _read_labels(args.labels)
+    pred = _read_labels(args.pred)
     if ref.shape != pred.shape:
         raise ParseError(
             f"misaligned label files: {ref.shape[0]} reference vs "
@@ -268,9 +276,11 @@ def cmd_oracle(args):
     calls = 0
     if args.mask_from:
         n, pairs = dataio.read_distance_log(args.mask_from)
+        _require_items(n, args.mask_from)
         matrix = oracle.matrix_from_pairs(n, pairs)
     elif args.matrix:
         matrix = dataio.read_matrix(args.matrix)
+        _require_items(len(matrix), args.matrix)
     else:
         distance = _dataset_distance(args)
         items = list(dataio.read_dataset(args.format, args.input))

@@ -303,29 +303,29 @@ def read_matrix(path):
     return m
 
 
-def generate_blobs(n_samples, dim, centers=10, std=1.0, center_box=(-10.0, 10.0), rng=None):
-    """Isotropic Gaussian blobs around uniformly placed centers.
+# Range of every coordinate of a blob center.
+CENTER_BOX = (-10.0, 10.0)
+
+
+def generate_blobs(n_samples, dim, centers=10, std=1.0, *, rng):
+    """Isotropic Gaussian blobs around centers drawn uniformly from
+    ``CENTER_BOX`` in every dimension.
 
     Returns (X, labels) with X an (n_samples, dim) float array.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    lo, hi = center_box
-    means = rng.uniform(lo, hi, size=(centers, dim))
+    means = rng.uniform(*CENTER_BOX, size=(centers, dim))
     labels = rng.integers(0, centers, size=n_samples)
     X = means[labels] + rng.normal(0.0, std, size=(n_samples, dim))
     return X, labels.astype(np.int64)
 
 
-def generate_transactions(n_samples, dim=1024, clusters=5, fill=0.5, rng=None):
+def generate_transactions(n_samples, dim=1024, clusters=5, fill=0.5, *, rng):
     """Synthetic transaction clusters: the item universe 0..dim-1 is split
     into disjoint pools, one per cluster, and each transaction samples its
     cluster's pool independently. No outliers, no overlap between clusters.
 
     Returns (payloads, labels) with payloads a list of frozensets.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if clusters > dim:
         raise ValueError("need at least one universe item per cluster")
     pools = np.array_split(rng.permutation(dim), clusters)

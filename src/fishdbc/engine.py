@@ -84,6 +84,8 @@ class FISHDBC:
     def pair_log(self):
         """All computed pairs as {(i, j): distance}, i < j.
 
+        A pair computed more than once is logged once, with the value every
+        computation gives under the deterministic distance contract above.
         Only available when the engine was created with record_pairs=True.
         """
         if self._pairs is None:
@@ -103,11 +105,11 @@ class FISHDBC:
         x = len(self._items)
         self._items.append(payload)
         try:
-            triples, raw = self._hnsw.insert(x)
+            triples, calls = self._hnsw.insert(x)
         except BaseException:
             self._items.pop()
             raise
-        self._distance_calls += raw
+        self._distance_calls += calls
         ns = self._neighbors
         core = ns.core
         observe = ns.observe
@@ -117,13 +119,14 @@ class FISHDBC:
 
         # Neighbor set updates for both endpoints of every triple; each
         # triple and each eviction is appended with its raw distance, for
-        # the flush to weigh. The values are finite, and ``observe`` changes
-        # nothing when offered v >= core[a], so only a distance below the
-        # endpoint's core distance is offered to its set. The HNSW never
-        # evaluates a pair either set holds, so such an offer always changes
-        # the set. Triples are (lo, hi, v) and x is the largest id, so x's
-        # triples are those with b == x: x's set is filled from them at
-        # once, and all of x's pairs are in the buffer already.
+        # the flush to weigh. The HNSW's recorder has checked every value,
+        # and ``observe`` changes nothing when offered v >= core[a], so only
+        # a distance below the endpoint's core distance is offered to its
+        # set. The HNSW never evaluates a pair either set holds, so such an
+        # offer always changes the set. Triples are (lo, hi, v) and x is the
+        # largest id, so x's triples are those with b == x: x's set is
+        # filled from them at once, and all of x's pairs are in the buffer
+        # already.
         before = len(buf)
         offers = []
         for a, b, v in triples:
@@ -144,12 +147,7 @@ class FISHDBC:
         self.last_add_pushes = len(buf) - before
 
         if self._pairs is not None:
-            log = self._pairs
-            for a, b, v in triples:
-                key = (a << 32) | b
-                cur = log.get(key)
-                if cur is None or v < cur:
-                    log[key] = v
+            self._pairs.update(((a << 32) | b, v) for a, b, v in triples)
 
         if len(buf) > ALPHA * len(self._items):
             self.flush()

@@ -54,9 +54,11 @@ class _Recorder:
     """Wraps the distance function for one insertion; memoizes, validates
     and taps calls.
 
-    A pair already evaluated in this insertion is answered from the memo,
-    so ``raw`` is the number of real calls to ``fn`` and each evaluated
-    pair yields exactly one triple. ``many`` evaluates one item against a
+    The recorder owns the distance contract on its side: every value it
+    returns is finite and >= 0, or ``_reject`` raises. A pair already
+    evaluated in this insertion is answered from the memo, and only a real
+    call to ``fn`` writes it, so the memo holds one entry, and yields one
+    triple, per real call. ``many`` evaluates one item against a
     list of others, in one call of the distance's batched form when it has
     one (``distances.MANY``) and two or more of the pairs are unknown.
     ``cached`` also reads the index's pair cache (``recent``, ``older``)
@@ -64,7 +66,7 @@ class _Recorder:
     insertion's commit writes back.
     """
 
-    __slots__ = ("fn", "batched", "items", "raw", "memo", "recent", "older", "served")
+    __slots__ = ("fn", "batched", "items", "memo", "recent", "older", "served")
 
     def __init__(self, fn, items, recent, older):
         self.fn = fn
@@ -73,7 +75,6 @@ class _Recorder:
         except TypeError:  # an unhashable callable has no batched form
             self.batched = None
         self.items = items
-        self.raw = 0
         self.memo = {}
         self.recent = recent
         self.older = older
@@ -87,7 +88,6 @@ class _Recorder:
         v = float(self.fn(self.items[a], self.items[b]))
         if not 0.0 <= v < math.inf:  # catches NaN, negatives and inf
             _reject(a, b, v)
-        self.raw += 1
         self.memo[key] = v
         return v
 
@@ -95,7 +95,7 @@ class _Recorder:
         """``self(a, b)`` for a pair of existing items, read from the pair
         cache (``recent``, then ``older``) when it holds the pair.
 
-        A cache hit is neither counted in ``raw`` nor tapped: an earlier
+        A cache hit makes no call and yields no triple: an earlier
         insertion reported the pair. Every pair served here, hit or
         evaluated, is collected in ``served`` for the insertion's commit.
         """
@@ -127,12 +127,13 @@ class _Recorder:
             if not 0.0 <= v < math.inf:
                 _reject(a, ids[i], v)
             memo[keys[i]] = out[i] = v
-        self.raw += len(todo)
         return out
 
     def finish(self):
+        """``(triples, calls)``: one (a, b, v) triple per memo entry, and
+        their number, which is the number of real calls."""
         triples = [(a, b, v) for (a, b), v in self.memo.items()]
-        return triples, self.raw
+        return triples, len(triples)
 
 
 def _reject(a, b, v):
@@ -177,9 +178,8 @@ class Hnsw:
     def insert(self, x):
         """Link item x into the graph.
 
-        Returns ``(triples, raw_calls)``: one (a, b, distance) triple, a < b,
-        per pair the insertion evaluated, and the number of calls made to
-        the distance function, which equals the number of triples. Pairs
+        Returns ``(triples, len(triples))``: one (a, b, distance) triple,
+        a < b, per call the insertion made to the distance function. Pairs
         whose distance was read from the layer-0 links, ``neighbor_dists``
         or the pair cache are neither evaluated nor reported. The pair
         cache is written only once the insertion has made all its distance

@@ -33,6 +33,10 @@ class CandidateBuffer:
     first and rejects every later copy. ``len`` counts the raw entries,
     copies included, and that is what the flush threshold ``ALPHA * n``
     bounds. +inf weights are accepted and dropped at the flush.
+
+    ``push`` checks no values: each is a distance the HNSW's recorder
+    validated (finite, >= 0), between two distinct items, as are those the
+    neighbor sets hold from it. The ends may come in either order.
     """
 
     __slots__ = ("_keys", "_weights")
@@ -44,10 +48,6 @@ class CandidateBuffer:
         return len(self._weights)
 
     def push(self, a, b, w):
-        if a == b:
-            raise ValueError("self-loops are not valid edges")
-        if not w >= 0.0:
-            raise ValueError(f"edge weight must be >= 0 (got {w})")
         if a > b:
             a, b = b, a
         self._keys.append((a << _SHIFT) | b)
@@ -74,11 +74,6 @@ class CandidateBuffer:
         """
         return (np.frombuffer(self._keys, dtype=np.int64),
                 np.frombuffer(self._weights, dtype=np.float64))
-
-    def arrays(self):
-        """Every entry, copies included, as (lo, hi, weight) numpy arrays."""
-        keys, w = self._views()
-        return keys >> _SHIFT, keys & _MASK, w.copy()
 
 
 class Msf:

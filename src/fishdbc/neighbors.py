@@ -7,10 +7,10 @@ largest distance in it. That rule makes core distances monotone
 non-increasing over the store's lifetime. Others read both dicts directly;
 only the store writes them.
 
-An existing item's set changes one offered distance at a time
-(``observe``). A new item's set is built at once from all the distances
-its insertion computed (``fill``), with the same result as offering them
-to ``observe`` in order.
+Every change to a set goes through ``observe``, which owns the admission,
+eviction and tie rules. A new item's set is built from the distances its
+insertion computed (``fill``) by offering ``observe`` those no farther than
+the minpts-th smallest.
 """
 
 import math
@@ -45,35 +45,23 @@ class NeighborStore:
     def fill(self, x, offers):
         """Add x with the set and core distance that offering each
         ``(neighbor, distance)`` of ``offers`` to ``observe(x, ...)`` in
-        order, starting from an empty set, would leave. The neighbors must
-        be distinct and differ from x.
+        order, starting from an empty set, leaves. The neighbors must be
+        distinct and differ from x.
 
-        Let c be the minpts-th smallest offered distance. Every offer below
-        c is kept. Offers tied at c that arrive after the minpts-th offer at
-        or below c meet a full set with core c and are refused; of the
-        earlier ones, each later offer below c evicts the lowest id, so the
-        highest ids are kept. The dict keeps the arrival order ``observe``
-        would give it.
+        Only the offers at or below c, the minpts-th smallest offered
+        distance, are made: a full set's core never falls below c, so an
+        offer above c could only hold a slot until enough offers at or below
+        c arrive. ``observe`` applies every admission, eviction and tie rule.
         """
         if x in self.dists:
             raise ValueError(f"item {x} already registered")
+        self.dists[x] = {}
+        self.core[x] = INF
         k = self.minpts
-        if len(offers) <= k:
-            near = dict(offers)
-            core = max(near.values()) if len(near) == k else INF
-        else:
-            core = sorted([v for _, v in offers])[k - 1]
-            near = {y: v for y, v in offers if v <= core}
-            if len(near) > k:
-                items = list(near.items())
-                for y, v in items[k:]:
-                    if v == core:
-                        del near[y]
-                ties = sorted(y for y, v in items[:k] if v == core)
-                for y in ties[: len(near) - k]:
-                    del near[y]
-        self.dists[x] = near
-        self.core[x] = core
+        cut = sorted([v for _, v in offers])[k - 1] if len(offers) > k else INF
+        for y, v in offers:
+            if v <= cut:
+                self.observe(x, y, v)
 
     def observe(self, x, y, v):
         """Record that d(x, y) = v, updating x's set only.

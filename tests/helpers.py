@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from fishdbc.msf import _MASK, _SHIFT
+
 
 def canonical_labels(labels):
     """Relabel clusters by first occurrence so partitions compare directly;
@@ -51,10 +53,17 @@ def noisy_strings(n, rng, prototypes=10, length=16, edit_rate=0.2):
     return out
 
 
+def buffered_entries(buf):
+    """Every entry of a CandidateBuffer, copies included, as (lo, hi, weight)
+    numpy arrays copied out of its storage, so that no view pins it."""
+    keys, w = buf._views()
+    return keys >> _SHIFT, keys & _MASK, w.copy()
+
+
 def buffered_weight(buf, a, b):
     """Weight of the lightest copy a CandidateBuffer holds for the pair
     {a, b}, the one a flush would keep, or None."""
-    lo, hi, w = buf.arrays()
+    lo, hi, w = buffered_entries(buf)
     a, b = min(a, b), max(a, b)
     hit = (lo == a) & (hi == b)
     return float(w[hit].min()) if hit.any() else None

@@ -309,8 +309,10 @@ class TestDataErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ["x\n1.0 2.0 1.0\n", "-2\n", "3\n1.0 x 1.0\n", "3\n1.0\n", "3\n-1.0 2.0 1.0\n"],
-        ids=["bad-count", "negative-count", "bad-entry", "entry-count", "negative-entry"],
+        ["x\n1.0 2.0 1.0\n", "-2\n", "3\n1.0 x 1.0\n", "3\n1.0\n", "3\n-1.0 2.0 1.0\n",
+         "0\n"],
+        ids=["bad-count", "negative-count", "bad-entry", "entry-count", "negative-entry",
+             "empty"],
     )
     def test_bad_matrix_exit_2(self, tmp_path, capsys, text):
         mfile = tmp_path / "m.txt"
@@ -321,6 +323,14 @@ class TestDataErrors:
         ])
         assert code == 2
         assert f"error: {mfile}: " in capsys.readouterr().err
+
+    def test_empty_distance_log_exit_2(self, tmp_path, capsys):
+        log = tmp_path / "d.log"
+        log.write_text("0\n")
+        code = main(["oracle", "--mask-from", str(log), "--minpts", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {log}: no items" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -355,6 +365,21 @@ class TestEvalCommand:
         dataio.write_labels(ref, [0, 1])
         dataio.write_labels(pred, [0, 1, 1])
         assert main(["eval", "--pred", str(pred), "--labels", str(ref)]) == 2
+
+    @pytest.mark.parametrize("ref_rows, pred_rows, named", [
+        (0, 0, "ref"), (1, 1, "ref"), (2, 0, "pred"),
+    ])
+    def test_fewer_than_two_labels_exit_2(self, tmp_path, capsys, ref_rows,
+                                               pred_rows, named):
+        files = {"ref": tmp_path / "ref.csv", "pred": tmp_path / "pred.csv"}
+        dataio.write_labels(files["ref"], [0, 1][:ref_rows])
+        dataio.write_labels(files["pred"], [0, 1][:pred_rows])
+        code = main(["eval", "--pred", str(files["pred"]),
+                     "--labels", str(files["ref"])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {files[named]}: need at least two labeled items" in captured.err
+        assert captured.out == ""
 
     def test_internal_metrics_with_dataset(self, tmp_path, capsys):
         data, ref = write_blobs(tmp_path, n=40)

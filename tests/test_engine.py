@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import fishdbc
-from helpers import buffered_weight, canonical_labels, noisy_strings, two_blob_points
+from helpers import (buffered_entries, buffered_weight, canonical_labels, noisy_strings,
+                     two_blob_points)
 from fishdbc import FISHDBC, DistanceError, dataio, distances
 from fishdbc import oracle
 from fishdbc.engine import ALPHA
 from fishdbc.msf import spanning_forest
+from fishdbc.neighbors import NeighborStore
 from test_distances import loop_jaro_winkler
 
 
@@ -351,7 +353,7 @@ class TestStateSizeInvariant:
         class CheckingBuffer(CandidateBuffer):
             def weigh(self, core):
                 super().weigh(core)
-                lo, hi, w = self.arrays()
+                lo, hi, w = buffered_entries(self)
                 for key, v in zip(zip(lo.tolist(), hi.tolist()), w.tolist()):
                     if key in seen:
                         assert v <= seen[key]
@@ -606,6 +608,58 @@ class TestCoreFilter:
         got, want = [(e.cluster().labels.tolist(), e.forest_edges(), e.pair_log())
                      for e in engines]
         assert got == want
+
+
+def repeated_strings(seed):
+    """60 noisy strings, each added 3 times, shuffled: zero distances tie."""
+    rng = np.random.default_rng(seed)
+    strings = noisy_strings(60, rng) * 3
+    return [strings[i] for i in rng.permutation(len(strings))]
+
+
+class TestBufferEntries:
+    """``CandidateBuffer.push`` checks no values: the recorder validates
+    every distance and the neighbor sets never pair an item with itself.
+    On streams with ties and evictions, every entry the buffer holds after
+    an add, and every entry a flush is about to weigh, has lo < hi < n and
+    a finite raw weight >= 0."""
+
+    @pytest.mark.parametrize(
+        "distance, items",
+        [(distances.euclidean, duplicate_rows), (distances.jaro_winkler, repeated_strings)],
+        ids=["blobs", "strings"],
+    )
+    def test_entries_are_valid_raw_edges(self, distance, items):
+        from fishdbc.msf import CandidateBuffer
+
+        def check(buf, n):
+            lo, hi, w = buffered_entries(buf)
+            assert ((lo < hi) & (hi < n)).all()
+            assert (np.isfinite(w) & (w >= 0.0)).all()
+
+        class CheckingBuffer(CandidateBuffer):
+            def weigh(self, core):
+                check(self, len(core))
+                super().weigh(core)
+
+        engine = FISHDBC(distance, minpts=5, rng_seed=1)
+        engine._buf = CheckingBuffer()
+        ns = engine._neighbors
+        evictions = [0]
+
+        def observe(x, y, v):
+            result = NeighborStore.observe(ns, x, y, v)
+            evictions[0] += result[1] is not None
+            return result
+
+        ns.observe = observe
+        for item in items(1):
+            engine.add(item)
+            check(engine._buf, engine.n)
+        engine.flush()
+        assert evictions[0] > 0
+        # Duplicates tie at distance zero.
+        assert any(0.0 in near.values() for near in ns.dists.values())
 
 
 class TestFlushSchedule:

@@ -59,6 +59,16 @@ class TestInsert:
         assert raw == 1
         assert triples == [(0, 1, 5.0)]
 
+    @pytest.mark.parametrize("distance", [euclidean, lambda a, b: euclidean(a, b)],
+                             ids=["batched", "scalar"])
+    def test_returns_triples_and_their_count(self, rng, distance):
+        # The engine counts distance calls, and a tracer unpacks the pair.
+        items = [rng.random(4) for _ in range(200)]
+        idx = make_index(items, distance=distance)
+        for i in range(200):
+            result = idx.insert(i)
+            assert len(result) == 2 and result[1] == len(result[0])
+
     def test_duplicate_id_rejected(self):
         items = [np.zeros(2)]
         idx = make_index(items)
@@ -239,7 +249,7 @@ class TestBatchedTap:
         assert batches == [2]  # only (4, 0) and (4, 2) were unknown
         assert rec.many(4, [2, 3]) == [2.0, 1.0]  # one unknown: scalar path
         assert batches == [2]
-        assert rec.raw == 4
+        assert len(rec.memo) == 4
         assert rec.finish()[0] == [(1, 4, 3.0), (0, 4, 4.0), (2, 4, 2.0), (3, 4, 1.0)]
 
     def test_unhandled_payloads_take_the_scalar_path(self):
@@ -394,7 +404,7 @@ class TestPairCache:
             probe.add(s)
             engine.add(s)
         probe.add(strings[-1])
-        calls = recorders[-1].raw
+        calls = len(recorders[-1].memo)
         # The last insertion takes pairs from the cache.
         evaluated = {a << 32 | b for a, b in recorders[-1].memo}
         assert recorders[-1].served.keys() - evaluated
