@@ -183,13 +183,17 @@ def write_dataset(fmt, path, payloads):
 
 def read_labels(path):
     """Label file: one integer per line (-1 = noise). ``index,label`` rows
-    as written by :func:`write_result` are accepted too.
+    as written by :func:`write_result` are accepted too; each index must be
+    the row's 0-based position among the labels.
     """
     labels = []
     for lineno, line in _lines(path):
         parts = line.split(",")
         try:
             if len(parts) == 2:
+                index = int(parts[0])
+                if index != len(labels):
+                    raise ValueError(f"index {index} should be {len(labels)}")
                 labels.append(int(parts[1]))
             elif len(parts) == 1:
                 labels.append(int(parts[0]))

@@ -79,7 +79,9 @@ def _cosine_terms(a, b):
             math.fsum(v * v for v in b.values()),
             math.fsum(v * big[k] for k, v in small.items() if k in big),
         )
-    return float(np.dot(a, a)), float(np.dot(b, b)), float(np.dot(a, b))
+    # vdot equals dot bit for bit on real vectors but does not warn when a
+    # term overflows to inf, which cosine handles by rescaling.
+    return float(np.vdot(a, a)), float(np.vdot(b, b)), float(np.vdot(a, b))
 
 
 def _unit_scaled(a):

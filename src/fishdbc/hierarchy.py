@@ -4,7 +4,9 @@ The pipeline: a single-linkage dendrogram built by a union-find sweep over
 ascending edges, a condensed tree that keeps only splits where both sides
 reach the minimum cluster size (smaller sides become per-point fall-out
 events), per-cluster stabilities, and a stability-maximizing flat selection
-with noise.
+with noise. The dendrogram reads the forest in the (weight, lo, hi) order
+the forest step sorted it in. The selection takes one pass up the cluster
+tree to compare stabilities and one pass down to settle flags and labels.
 
 Densities are expressed as lambda = 1 / edge weight (+inf for weight 0).
 For a forest with several components, each component root acts as a cluster
@@ -99,18 +101,13 @@ class ClusterResult:
 
 
 def build_dendrogram(lo, hi, weight, n):
-    """Union-find sweep over an acyclic edge list.
-
-    Components that never merge stay separate trees, so the result may have
-    several roots. Edges are processed by ascending (weight, lo, hi).
+    """Single-linkage dendrogram of a forest as ``msf.spanning_forest``
+    returns it: int64 ``lo`` and ``hi``, finite float64 ``weight``, in
+    ascending (weight, lo, hi) order. The edges are not copied, sorted or
+    checked beyond the sweep's cycle check; ``weight`` becomes the
+    dendrogram's own array. Components that never merge stay separate
+    trees, so the result may have several roots.
     """
-    lo = np.ascontiguousarray(lo, dtype=np.int64)
-    hi = np.ascontiguousarray(hi, dtype=np.int64)
-    weight = np.ascontiguousarray(weight, dtype=np.float64)
-    if not np.isfinite(weight).all():
-        raise ValueError("dendrogram input must not contain infinite weights")
-    order = np.lexsort((hi, lo, weight))
-    lo, hi, weight = lo[order], hi[order], weight[order]
     left, right, size = _accel.linkage_merges(lo, hi, n)
     return Dendrogram(n_points=n, left=left, right=right, weight=weight, size=size)
 
@@ -171,8 +168,7 @@ def condense(dend, m_cs):
     for root in roots:
         if root < n:
             # Isolated item: noise, shed by the implicit all-points root.
-            if multi:
-                events.append((root, -1, 0.0))
+            events.append((root, -1, 0.0))
             continue
         if multi and sizes[root] < m_cs:
             shed(root, -1, 0.0)
@@ -232,55 +228,48 @@ def _fill_stabilities(tree):
 def extract_flat(tree):
     """Select the stability-maximizing antichain of clusters and label items.
 
-    Bottom-up: a cluster beats its descendants only when its stability
-    strictly exceeds the sum of the best selections inside it. The selection
-    is recorded in the records' ``selected`` flags, in place; the returned
+    Two linear passes; ``condense`` gives a parent a lower id than its
+    children. Bottom-up, a cluster beats its descendants only when its
+    stability strictly exceeds the sum of the best selections inside it.
+    Top-down, a cluster under a selected one is deselected and takes its
+    label; any other selected cluster takes the next label, in id order.
+    The flags are set on the records in place; the returned
     :class:`ClusterResult` holds the labels and ``tree`` itself.
     """
-    k = len(tree.clusters)
-    children = [[] for _ in range(k)]
-    for rec in tree.clusters:
+    clusters = tree.clusters
+    children = [[] for _ in clusters]
+    for rec in clusters:
         if rec.parent >= 0:
             children[rec.parent].append(rec.id)
     # Component roots are only selectable when they are not the all-points
     # root, i.e. when the forest had several components.
-    selected = [
-        not (tree.single_root and rec.parent == -1) for rec in tree.clusters
-    ]
-    eff = [rec.stability for rec in tree.clusters]
-    for cid in range(k - 1, -1, -1):
+    wins = [not (tree.single_root and rec.parent == -1) for rec in clusters]
+    eff = [rec.stability for rec in clusters]
+    for cid in range(len(clusters) - 1, -1, -1):
         kids = children[cid]
         if not kids:
             continue
         subtree = sum(eff[c] for c in kids)
-        if selected[cid] and tree.clusters[cid].stability > subtree:
-            stack = list(kids)
-            while stack:
-                c = stack.pop()
-                selected[c] = False
-                stack.extend(children[c])
-        else:
-            selected[cid] = False
+        if not (wins[cid] and clusters[cid].stability > subtree):
+            wins[cid] = False
             eff[cid] = subtree
 
-    for rec in tree.clusters:
-        rec.selected = selected[rec.id]
-    label_of = {cid: i for i, cid in enumerate(tree.selected_ids())}
+    # Each cluster's selected ancestor-or-self's label, else -1; the extra
+    # entry label[-1] serves parent -1 and events outside any cluster.
+    label = [-1] * (len(clusters) + 1)
+    n_labels = 0
+    for rec in clusters:
+        up = label[rec.parent]
+        rec.selected = wins[rec.id] and up < 0
+        if rec.selected:
+            up = n_labels
+            n_labels += 1
+        label[rec.id] = up
 
-    labels = np.full(tree.n_points, -1, dtype=np.int64)
-    resolve = {}
+    labels = [-1] * tree.n_points
     for point, cid, _ in tree.events:
-        if cid < 0:
-            continue
-        lbl = resolve.get(cid)
-        if lbl is None:
-            cur = cid
-            while cur != -1 and not selected[cur]:
-                cur = tree.clusters[cur].parent
-            lbl = -1 if cur == -1 else label_of[cur]
-            resolve[cid] = lbl
-        labels[point] = lbl
-    return ClusterResult(labels=labels, condensed=tree)
+        labels[point] = label[cid]
+    return ClusterResult(labels=np.array(labels, dtype=np.int64), condensed=tree)
 
 
 def tree_to_dict(tree):

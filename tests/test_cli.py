@@ -366,6 +366,18 @@ class TestEvalCommand:
         dataio.write_labels(pred, [0, 1, 1])
         assert main(["eval", "--pred", str(pred), "--labels", str(ref)]) == 2
 
+    def test_shuffled_indexed_labels_exit_2(self, tmp_path, capsys):
+        # labels.csv rows out of item order must not be scored against the
+        # wrong items.
+        ref = tmp_path / "ref.csv"
+        pred = tmp_path / "pred.csv"
+        dataio.write_labels(ref, [0, 0, 1, 1])
+        pred.write_text("0,0\n2,1\n1,0\n3,1\n")
+        assert main(["eval", "--pred", str(pred), "--labels", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert f"{pred}:2: index 2 should be 1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("ref_rows, pred_rows, named", [
         (0, 0, "ref"), (1, 1, "ref"), (2, 0, "pred"),
     ])

@@ -137,6 +137,20 @@ class TestLabels:
         path.write_text("0,0\n1,0\n2,-1\n")
         assert dataio.read_labels(path).tolist() == [0, 0, -1]
 
+    @pytest.mark.parametrize("text, line, index, position", [
+        ("7,1\n7,1\n9,0\n", 1, 7, 0),
+        ("0,1\n2,0\n1,0\n", 2, 2, 1),  # shuffled rows
+        ("0,1\n0,1\n", 2, 0, 1),  # repeated index
+        ("3\n0,1\n", 2, 0, 1),  # the index counts bare rows too
+    ])
+    def test_index_must_be_row_position(self, tmp_path, text, line, index, position):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(
+            ParseError, match=f"labels.csv:{line}: index {index} should be {position}"
+        ):
+            dataio.read_labels(path)
+
 
 class TestWriteResult:
     def run_result(self, rng):

@@ -230,6 +230,7 @@ class TestCluster:
         result = engine.cluster()
         assert result.labels.tolist() == [-1]
         assert result.condensed.clusters == []
+        assert result.condensed.events == [(0, -1, 0.0)]
         assert result.n_clusters == 0
 
     def test_empty_state_rejected(self):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -13,6 +14,19 @@ from fishdbc.hierarchy import (
     extract_flat,
     tree_to_dict,
 )
+from fishdbc.msf import spanning_forest
+
+
+def dendrogram(lo, hi, w, n):
+    """build_dendrogram over a hand-built forest, first put in the form
+    spanning_forest returns: a forest is its own minimum spanning forest,
+    so this only sorts it by (w, lo, hi) into int64 and float64 arrays."""
+    forest = spanning_forest(
+        np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64),
+        np.array(w, dtype=np.float64), n,
+    )
+    assert len(forest[0]) == len(lo)
+    return build_dendrogram(*forest, n)
 
 
 def naive_single_linkage(edges, n):
@@ -100,15 +114,54 @@ def reference_condense(dend, m_cs):
     return clusters, point_sig
 
 
+def reference_extract_flat(tree):
+    """Reference selection: bottom-up, a winning cluster walks its whole
+    subtree to deselect it; each event's cluster then walks up to its
+    selected ancestor. Returns (labels, selected flags) and leaves ``tree``
+    unchanged."""
+    k = len(tree.clusters)
+    children = [[] for _ in range(k)]
+    for rec in tree.clusters:
+        if rec.parent >= 0:
+            children[rec.parent].append(rec.id)
+    selected = [
+        not (tree.single_root and rec.parent == -1) for rec in tree.clusters
+    ]
+    eff = [rec.stability for rec in tree.clusters]
+    for cid in range(k - 1, -1, -1):
+        kids = children[cid]
+        if not kids:
+            continue
+        subtree = sum(eff[c] for c in kids)
+        if selected[cid] and tree.clusters[cid].stability > subtree:
+            stack = list(kids)
+            while stack:
+                c = stack.pop()
+                selected[c] = False
+                stack.extend(children[c])
+        else:
+            selected[cid] = False
+            eff[cid] = subtree
+    label_of = {cid: i for i, cid in enumerate(c for c in range(k) if selected[c])}
+    labels = [-1] * tree.n_points
+    for point, cid, _ in tree.events:
+        cur = cid
+        while cur != -1 and not selected[cur]:
+            cur = tree.clusters[cur].parent
+        if cur != -1:
+            labels[point] = label_of[cur]
+    return labels, selected
+
+
 class TestBuildDendrogram:
     def test_two_points(self):
-        d = build_dendrogram([0], [1], [2.5], 2)
+        d = dendrogram([0], [1], [2.5], 2)
         assert len(d) == 1
         assert d.weight[0] == 2.5 and d.size[0] == 2
         assert {int(d.left[0]), int(d.right[0])} == {0, 1}
 
     def test_three_point_chain(self):
-        d = build_dendrogram([0, 1], [1, 2], [1.0, 2.0], 3)
+        d = dendrogram([0, 1], [1, 2], [1.0, 2.0], 3)
         assert d.weight.tolist() == [1.0, 2.0]
         assert d.size.tolist() == [2, 3]
         # Second merge joins internal node 3 with leaf 2.
@@ -116,11 +169,12 @@ class TestBuildDendrogram:
 
     def test_cyclic_input_rejected(self):
         with pytest.raises(ValueError, match="cyclic"):
-            build_dendrogram([0, 1, 0], [1, 2, 2], [1.0, 2.0, 3.0], 3)
-
-    def test_infinite_weight_rejected(self):
-        with pytest.raises(ValueError, match="infinite"):
-            build_dendrogram([0], [1], [math.inf], 2)
+            build_dendrogram(
+                np.array([0, 1, 0], dtype=np.int64),
+                np.array([1, 2, 2], dtype=np.int64),
+                np.array([1.0, 2.0, 3.0]),
+                3,
+            )
 
     def test_matches_naive_single_linkage(self, rng):
         n = 40
@@ -130,7 +184,7 @@ class TestBuildDendrogram:
             j = int(rng.integers(0, i))
             lo, hi = (j, i) if j < i else (i, j)
             edges.append((lo, hi, float(rng.random() * 10)))
-        d = build_dendrogram(
+        d = dendrogram(
             [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], n
         )
         got = list(zip(d.weight.tolist(), d.size.tolist()))
@@ -143,7 +197,7 @@ class TestBuildDendrogram:
         for i in range(1, n):
             j = int(rng.integers(0, i))
             edges.append((min(i, j), max(i, j), float(rng.random())))
-        d = build_dendrogram(
+        d = dendrogram(
             [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], n
         )
         assert (np.diff(d.weight) >= 0).all()
@@ -169,7 +223,7 @@ class TestCondense:
         for i in range(20, 39):
             lo.append(i), hi.append(i + 1), w.append(0.1)
         lo.append(0), hi.append(20), w.append(10.0)
-        d = build_dendrogram(lo, hi, w, 40)
+        d = dendrogram(lo, hi, w, 40)
         tree = condense(d, 5)
         top = [c for c in tree.clusters if c.parent == -1]
         assert len(top) == 1
@@ -180,7 +234,7 @@ class TestCondense:
 
     def test_mcs_larger_than_n_all_root_fallouts(self):
         lo, hi, w = chain_edges([1.0] * 9)
-        d = build_dendrogram(lo, hi, w, 10)
+        d = dendrogram(lo, hi, w, 10)
         tree = condense(d, 20)
         assert len(tree.clusters) == 1  # just the retained root
         assert tree.clusters[0].parent == -1
@@ -189,19 +243,20 @@ class TestCondense:
 
     def test_min_mcs_bound(self):
         lo, hi, w = chain_edges([1.0])
-        d = build_dendrogram(lo, hi, w, 2)
+        d = dendrogram(lo, hi, w, 2)
         with pytest.raises(ValueError, match=">= 2"):
             condense(d, 1)
 
     def test_every_point_has_exactly_one_event(self, rng):
-        n = 50
-        lo, hi, w = [], [], []
-        for i in range(1, n):
-            j = int(rng.integers(0, i))
-            lo.append(min(i, j)), hi.append(max(i, j)), w.append(float(rng.random()))
-        d = build_dendrogram(lo, hi, w, n)
-        tree = condense(d, 5)
-        assert sorted(p for p, _, _ in tree.events) == list(range(n))
+        # n = 1 is a lone leaf root: the item is noise, with one event.
+        for n in (1, 2, 50):
+            lo, hi, w = [], [], []
+            for i in range(1, n):
+                j = int(rng.integers(0, i))
+                lo.append(min(i, j)), hi.append(max(i, j)), w.append(float(rng.random()))
+            d = dendrogram(lo, hi, w, n)
+            tree = condense(d, 5)
+            assert sorted(p for p, _, _ in tree.events) == list(range(n))
 
     def test_child_birth_not_before_parent_birth(self, rng):
         n = 80
@@ -209,7 +264,7 @@ class TestCondense:
         for i in range(1, n):
             j = int(rng.integers(0, i))
             lo.append(min(i, j)), hi.append(max(i, j)), w.append(float(rng.random()))
-        d = build_dendrogram(lo, hi, w, n)
+        d = dendrogram(lo, hi, w, n)
         tree = condense(d, 4)
         for c in tree.clusters:
             if c.parent >= 0:
@@ -222,7 +277,7 @@ class TestCondense:
         n = 60
         weights = [float(rng.random()) for _ in range(n - 1)]
         lo, hi, w = chain_edges(weights)
-        d = build_dendrogram(lo, hi, w, n)
+        d = dendrogram(lo, hi, w, n)
         tree = condense(d, 10)
 
         ref_clusters, _ = reference_condense(d, 10)
@@ -288,7 +343,7 @@ class TestStability:
         for i in range(1, n):
             j = int(rng.integers(0, i))
             lo.append(min(i, j)), hi.append(max(i, j)), w.append(float(rng.random()))
-        d = build_dendrogram(lo, hi, w, n)
+        d = dendrogram(lo, hi, w, n)
         tree = condense(d, 5)
         for rec in tree.clusters:
             direct = sum(
@@ -374,7 +429,7 @@ class TestExtractFlat:
         for i in range(1, n):
             j = int(rng.integers(0, i))
             lo.append(min(i, j)), hi.append(max(i, j)), w.append(float(rng.random()))
-        d = build_dendrogram(lo, hi, w, n)
+        d = dendrogram(lo, hi, w, n)
         tree = condense(d, 5)
         flat = extract_flat(tree)
         chosen = set(flat.condensed.selected_ids())
@@ -390,13 +445,74 @@ class TestExtractFlat:
         for i in range(1, n):
             j = int(rng.integers(0, i))
             lo.append(min(i, j)), hi.append(max(i, j)), w.append(float(rng.random()))
-        d = build_dendrogram(lo, hi, w, n)
+        d = dendrogram(lo, hi, w, n)
         tree = condense(d, 5)
         extract_flat(tree)
         for p, cid, lam in tree.events:
             if cid >= 0 and tree.clusters[cid].selected:
                 rec = tree.clusters[cid]
                 assert rec.birth_lambda <= lam <= rec.death_lambda
+
+
+def random_condensed_tree(rng, single_root, k=40, n=120):
+    """A condensed tree of k records with random parents (a parent's id is
+    lower than its children's, as ``condense`` numbers them) and small
+    integer stabilities, so a stability often equals its children's sum
+    exactly. Each of the n points has one event, some outside any cluster.
+    """
+    roots = 1 if single_root else 2  # ids below this are component roots
+    records = []
+    for cid in range(k):
+        if cid < roots or (not single_root and rng.random() < 0.15):
+            parent = -1
+        else:
+            parent = int(rng.integers(0, cid))
+        records.append(
+            ClusterRecord(cid, parent, 0.0, 1.0, 5, float(rng.integers(0, 5)))
+        )
+    events = [(p, int(rng.integers(-1, k)), 1.0) for p in rng.permutation(n).tolist()]
+    return CondensedTree(n, records, events, single_root=single_root)
+
+
+class TestExtractFlatMatchesReference:
+    """The two-pass selection gives the reference's labels and flags."""
+
+    def check(self, tree):
+        want_labels, want_selected = reference_extract_flat(tree)
+        flat = extract_flat(copy.deepcopy(tree))
+        assert flat.labels.tolist() == want_labels
+        assert [c.selected for c in flat.condensed.clusters] == want_selected
+        return want_selected
+
+    @pytest.mark.parametrize("single_root", [True, False])
+    def test_random_trees(self, rng, single_root):
+        ties = parent_wins = 0
+        for _ in range(200):
+            tree = random_condensed_tree(rng, single_root)
+            selected = self.check(tree)
+            kids = {}
+            for c in tree.clusters:
+                if c.parent >= 0:
+                    kids.setdefault(c.parent, []).append(c)
+            for cid, below in kids.items():
+                parent = tree.clusters[cid]
+                ties += parent.stability == sum(c.stability for c in below)
+                parent_wins += selected[cid]
+        # Some parents tie with their children; some win over them.
+        assert ties and parent_wins
+
+    @pytest.mark.parametrize("m_cs", [2, 3, 5, 10])
+    def test_condensed_forests(self, rng, m_cs):
+        # Random forests, most with several trees, with tied weights.
+        for _ in range(20):
+            n = 80
+            lo, hi, w = [], [], []
+            for i in range(1, n):
+                if rng.random() < 0.03:
+                    continue
+                j = int(rng.integers(0, i))
+                lo.append(j), hi.append(i), w.append(float(rng.integers(1, 6)))
+            self.check(condense(dendrogram(lo, hi, w, n), m_cs))
 
 
 class TestSerialization:
@@ -407,7 +523,7 @@ class TestSerialization:
             j = int(rng.integers(0, i))
             weight = 0.0 if rng.random() < 0.2 else float(rng.random())
             lo.append(min(i, j)), hi.append(max(i, j)), w.append(weight)
-        d = build_dendrogram(lo, hi, w, n)
+        d = dendrogram(lo, hi, w, n)
         # With m_cs = 2, weight-0 merges of two leaves shed both at an
         # infinite lambda, which JSON must carry as Infinity.
         tree = condense(d, 2)

@@ -271,6 +271,7 @@ class TestUpdateMsf:
             assert list(zip(*(a.tolist() for a in got))) == want
             for a in got[:2]:
                 assert a.dtype == np.int64 and a.flags.c_contiguous
+            assert got[2].dtype == np.float64
             oneshot, batched = Msf(), Msf()
             buf = CandidateBuffer()
             for edge in edges:

@@ -155,7 +155,6 @@ def scaled(values, magnitude, sparse):
     return np.array(values) * magnitude
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @settings(deadline=None, max_examples=300)
 @given(values=st.tuples(unit_vectors, unit_vectors), ma=magnitudes, mb=magnitudes,
        sparse=st.booleans())
