@@ -1,21 +1,15 @@
 """Union-find sweeps behind the spanning-forest flush and the dendrogram.
 
 Both run as plain Python over Python ints: reading a numpy array one scalar
-at a time costs more than the sweep itself. ``kruskal_mask`` walks its
-inputs through memoryviews instead of ``tolist()``, so a sweep holds no
-extra per-edge Python lists; the Filter-Kruskal flush calls it once per
-light chunk with one shared union-find.
+at a time costs more than the sweep itself, and so does a helper call per
+find, so each find halves the path inline (``parent[a] = a =
+parent[parent[a]]`` assigns the slot before the name). ``kruskal_mask``
+walks its inputs through memoryviews instead of ``tolist()``, so a sweep
+holds no extra per-edge Python lists; the Filter-Kruskal flush calls it
+once per light chunk with one shared union-find.
 """
 
 import numpy as np
-
-
-def _find(parent, x):
-    """Root of x's set, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def kruskal_mask(lo, hi, parent):
@@ -30,8 +24,10 @@ def kruskal_mask(lo, hi, parent):
     """
     keep = bytearray(len(lo))
     for k, (a, b) in enumerate(zip(memoryview(lo), memoryview(hi))):
-        a = _find(parent, a)
-        b = _find(parent, b)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a != b:
             parent[b] = a
             keep[k] = 1
@@ -49,8 +45,10 @@ def linkage_merges(lo, hi, n):
     comp_size = [1] * n
     left, right, size = [], [], []
     for a, b in zip(lo.tolist(), hi.tolist()):
-        a = _find(parent, a)
-        b = _find(parent, b)
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             raise ValueError("cyclic input: edge list is not a forest")
         left.append(node[a])

@@ -129,30 +129,26 @@ def condense(dend, m_cs):
     n = dend.n_points
     left = dend.left.tolist()
     right = dend.right.tolist()
-    weight = dend.weight.tolist()
     sizes = [1] * n + dend.size.tolist()  # indexed by node id
+    # A leaf is never big enough, since m_cs >= 2.
+    big = [False] * n + (dend.size >= m_cs).tolist()
+    lams = [INF if w == 0.0 else 1.0 / w for w in dend.weight.tolist()]
     is_child = np.zeros(n + len(dend), dtype=bool)
     is_child[dend.left] = True
     is_child[dend.right] = True
     roots = np.flatnonzero(~is_child).tolist()
     multi = len(roots) > 1
 
-    clusters = []
+    # One entry per cluster id, made into records at the end.
+    parent, birth, death, size = [], [], [], []
     events = []
 
-    def new_cluster(parent, birth, size):
-        cid = len(clusters)
-        clusters.append(
-            ClusterRecord(
-                id=cid,
-                parent=parent,
-                birth_lambda=birth,
-                death_lambda=birth,
-                size=size,
-                stability=0.0,
-            )
-        )
-        return cid
+    def new_cluster(pid, lam, node):
+        parent.append(pid)
+        birth.append(lam)
+        death.append(lam)
+        size.append(sizes[node])
+        return len(parent) - 1
 
     def shed(node, cid, lam):
         # Depth first, left before right: the event order tree.json keeps.
@@ -170,29 +166,32 @@ def condense(dend, m_cs):
             # Isolated item: noise, shed by the implicit all-points root.
             events.append((root, -1, 0.0))
             continue
-        if multi and sizes[root] < m_cs:
+        if multi and not big[root]:
             shed(root, -1, 0.0)
             continue
-        rid = new_cluster(parent=-1, birth=0.0, size=sizes[root])
-        todo = deque([(root, rid)])
+        todo = deque([(root, new_cluster(-1, 0.0, root))])
         while todo:
             node, cid = todo.popleft()
             i = node - n
-            w = weight[i]
-            lam = INF if w == 0.0 else 1.0 / w
+            lam = lams[i]
             l, r = left[i], right[i]
-            clusters[cid].death_lambda = lam
-            if sizes[l] >= m_cs and sizes[r] >= m_cs:
-                for child in (l, r):
-                    ncid = new_cluster(parent=cid, birth=lam, size=sizes[child])
-                    todo.append((child, ncid))
-            else:
-                for child in (l, r):
-                    if sizes[child] >= m_cs:
-                        todo.append((child, cid))
-                    else:
-                        shed(child, cid, lam)
+            death[cid] = lam
+            if big[l] and big[r]:
+                todo.append((l, new_cluster(cid, lam, l)))
+                todo.append((r, new_cluster(cid, lam, r)))
+                continue
+            for child in (l, r):
+                if big[child]:
+                    todo.append((child, cid))
+                elif child < n:
+                    events.append((child, cid, lam))
+                else:
+                    shed(child, cid, lam)
 
+    clusters = [
+        ClusterRecord(cid, p, b, d, s, 0.0)
+        for cid, (p, b, d, s) in enumerate(zip(parent, birth, death, size))
+    ]
     tree = CondensedTree(
         n_points=n, clusters=clusters, events=events, single_root=not multi
     )
@@ -213,10 +212,11 @@ def _fill_stabilities(tree):
     departure - birth lambda). Points leaving directly contribute their
     fall-out event; points passing into child clusters contribute the
     child's birth density."""
+    birth = [rec.birth_lambda for rec in tree.clusters]
     acc = [0.0] * len(tree.clusters)
     for _, cid, lam in tree.events:
         if cid >= 0:
-            acc[cid] += _span(lam, tree.clusters[cid].birth_lambda)
+            acc[cid] += _span(lam, birth[cid])
     for rec in tree.clusters:
         if rec.parent >= 0:
             parent = tree.clusters[rec.parent]

@@ -23,9 +23,12 @@ coming back to) when any of them holds it: those values came from earlier
 insertions' triples, so the pair is neither evaluated nor reported again.
 The cache is two generations of ``{lo << 32 | hi: distance}``: each
 insertion's heuristic pairs, found or evaluated, join the recent one when
-the insertion commits, and once that holds more than 2n pairs it becomes
-the older one and the older one is dropped. So at most 4n pairs, plus one
-insertion's, are held.
+the insertion commits, and once that holds more than 4n pairs it becomes
+the older one and the older one is dropped. So at most 8n pairs, plus one
+insertion's, are held. The bound trades memory for calls: the heuristic
+re-compares a node's links long after it first met them, so a shorter
+generation drops pairs before their next use, and a longer one holds more
+memory for few more hits.
 
 The search evaluates a node's unvisited neighbors together, as hnswlib and
 Malkov & Yashunin's Alg. 2 do. When the distance has a batched form
@@ -167,7 +170,8 @@ class Hnsw:
         self._rng = rng
         self._layers = []  # layer 0 first; each: {node: {neighbor: dist}}
         self._entry = None
-        # Two generations of heuristic pairs, keyed lo << 32 | hi.
+        # Two generations of heuristic pairs, keyed lo << 32 | hi; the
+        # recent one rotates once it holds more than 4n pairs.
         self._recent = {}
         self._older = {}
 
@@ -214,7 +218,7 @@ class Hnsw:
             self._entry = x
         recent = self._recent
         recent.update(rec.served)
-        if len(recent) > 2 * len(self._layers[0]):
+        if len(recent) > 4 * len(self._layers[0]):
             self._older = recent
             self._recent = {}
         return rec.finish()

@@ -122,7 +122,11 @@ def spanning_forest(lo, hi, w, n):
             clo, chi, cw = lo[light], hi[light], w[light]
         else:
             clo, chi, cw = lo, hi, w
-        order = np.lexsort((chi, clo, cw))
+        # (w, lo, hi) order in two sorts: by packed pair, then stably by
+        # weight. Many weights tie, so the pair order must survive the
+        # second sort.
+        order = np.argsort(clo << _SHIFT | chi)
+        order = order[np.argsort(cw[order], kind="stable")]
         clo, chi, cw = clo[order], chi[order], cw[order]
         keep = _accel.kruskal_mask(clo, chi, parent)
         parts.append((clo[keep], chi[keep], cw[keep]))

@@ -26,6 +26,25 @@ def reference_kruskal_mask(lo, hi, n):
     return np.array(keep, dtype=np.bool_)
 
 
+def reference_sweep(lo, hi, parent):
+    """kruskal_mask's sweep through a separate find helper that halves
+    paths the same way; updates ``parent`` in place."""
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    keep = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+        keep.append(a != b)
+    return np.array(keep, dtype=np.bool_)
+
+
 class TestEuclideanKernel:
     """The Euclidean kernel now lives inline in ``distances.euclidean``."""
 
@@ -71,6 +90,21 @@ class TestKruskalKernel:
             second = _accel.kruskal_mask(lo[cut:].copy(), hi[cut:].copy(), parent)
             whole = _accel.kruskal_mask(lo, hi, list(range(n)))
             assert np.array_equal(np.concatenate([first, second]), whole)
+
+    def test_shared_parent_matches_a_find_helper_sweep(self, rng):
+        """Chunk after chunk, the inline path halving leaves the same
+        union-find, entry for entry, as a sweep with a find helper."""
+        for _ in range(20):
+            n = int(rng.integers(5, 60))
+            m = int(rng.integers(2, n * (n - 1) // 2 + 1))
+            lo, hi = self.rand_edges(rng, n, m)
+            cut = int(rng.integers(1, m))
+            parent, ref = list(range(n)), list(range(n))
+            for part in (slice(0, cut), slice(cut, m)):
+                got = _accel.kruskal_mask(lo[part].copy(), hi[part].copy(), parent)
+                want = reference_sweep(lo[part], hi[part], ref)
+                assert np.array_equal(got, want)
+                assert parent == ref
 
     def test_spanning_tree_size(self, rng):
         n = 20

@@ -284,6 +284,35 @@ class TestUpdateMsf:
             assert oneshot.edges() == want
             assert batched.edges() == want
 
+    def test_order_matches_lexsort_on_tied_copies(self, rng):
+        # Three weights and three copies of each pair on average, some
+        # identical: spanning_forest keeps, edge for edge and in order,
+        # what one sweep over np.lexsort((hi, lo, w)) keeps. Weight 0 is
+        # rare, so the first Filter-Kruskal chunk mixes weights 0 and 1
+        # and both its ties and its copies must stay in pair order.
+        for _ in range(12):
+            n = int(rng.integers(5, 40))
+            lo_all, hi_all = np.triu_indices(n, 1)
+            pick = rng.integers(lo_all.size, size=3 * lo_all.size)
+            lo = lo_all[pick].astype(np.int64)
+            hi = hi_all[pick].astype(np.int64)
+            w = rng.choice(3, size=pick.size, p=[0.02, 0.3, 0.68]).astype(float)
+            order = np.lexsort((hi, lo, w))
+            parent = list(range(n))
+            want = []
+            for a, b, v in zip(lo[order].tolist(), hi[order].tolist(), w[order].tolist()):
+                ra, rb = a, b
+                while parent[ra] != ra:
+                    ra = parent[ra]
+                while parent[rb] != rb:
+                    rb = parent[rb]
+                if ra != rb:
+                    parent[ra] = rb
+                    want.append((a, b, v))
+            assert len(want) == n - 1
+            got = spanning_forest(lo, hi, w, n)
+            assert list(zip(*(a.tolist() for a in got))) == want
+
     def test_forest_edge_count_matches_components(self, rng):
         n = 40
         msf = Msf()
