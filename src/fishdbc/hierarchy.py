@@ -3,10 +3,12 @@
 The pipeline: a single-linkage dendrogram built by a union-find sweep over
 ascending edges, a condensed tree that keeps only splits where both sides
 reach the minimum cluster size (smaller sides become per-point fall-out
-events), per-cluster stabilities, and a stability-maximizing flat selection
-with noise. The dendrogram reads the forest in the (weight, lo, hi) order
-the forest step sorted it in. The selection takes one pass up the cluster
-tree to compare stabilities and one pass down to settle flags and labels.
+events), and a stability-maximizing flat selection with noise. The
+dendrogram reads the forest in the (weight, lo, hi) order the forest step
+sorted it in. The condensed tree's walk sums each cluster's stability as it
+records the cluster's fall-out events and split. The selection takes one
+pass up the cluster tree, adding each cluster's best selection into its
+parent's sum, and one pass down to settle flags and labels.
 
 Densities are expressed as lambda = 1 / edge weight (+inf for weight 0).
 For a forest with several components, each component root acts as a cluster
@@ -139,8 +141,11 @@ def condense(dend, m_cs):
     roots = np.flatnonzero(~is_child).tolist()
     multi = len(roots) > 1
 
-    # One entry per cluster id, made into records at the end.
-    parent, birth, death, size = [], [], [], []
+    # One entry per cluster id, made into records at the end. A cluster's
+    # stability sums (lambda at departure - birth lambda) over its points:
+    # first each point that falls out, in event order, then the points of
+    # its two children, left then right, carried to their birth.
+    parent, birth, death, size, stab = [], [], [], [], []
     events = []
 
     def new_cluster(pid, lam, node):
@@ -148,18 +153,24 @@ def condense(dend, m_cs):
         birth.append(lam)
         death.append(lam)
         size.append(sizes[node])
+        stab.append(0.0)
         return len(parent) - 1
 
-    def shed(node, cid, lam):
+    def shed(node, cid, lam, span):
         # Depth first, left before right: the event order tree.json keeps.
+        # Each point adds span to cid's stability, if cid is a cluster.
+        s = stab[cid] if cid >= 0 else 0.0
         stack = [node]
         while stack:
             cur = stack.pop()
             if cur < n:
                 events.append((cur, cid, lam))
+                s += span
             else:
                 stack.append(right[cur - n])
                 stack.append(left[cur - n])
+        if cid >= 0:
+            stab[cid] = s
 
     for root in roots:
         if root < n:
@@ -167,7 +178,7 @@ def condense(dend, m_cs):
             events.append((root, -1, 0.0))
             continue
         if multi and not big[root]:
-            shed(root, -1, 0.0)
+            shed(root, -1, 0.0, 0.0)
             continue
         todo = deque([(root, new_cluster(-1, 0.0, root))])
         while todo:
@@ -176,7 +187,10 @@ def condense(dend, m_cs):
             lam = lams[i]
             l, r = left[i], right[i]
             death[cid] = lam
+            span = _span(lam, birth[cid])
             if big[l] and big[r]:
+                stab[cid] += sizes[l] * span
+                stab[cid] += sizes[r] * span
                 todo.append((l, new_cluster(cid, lam, l)))
                 todo.append((r, new_cluster(cid, lam, r)))
                 continue
@@ -185,18 +199,17 @@ def condense(dend, m_cs):
                     todo.append((child, cid))
                 elif child < n:
                     events.append((child, cid, lam))
+                    stab[cid] += span
                 else:
-                    shed(child, cid, lam)
+                    shed(child, cid, lam, span)
 
     clusters = [
-        ClusterRecord(cid, p, b, d, s, 0.0)
-        for cid, (p, b, d, s) in enumerate(zip(parent, birth, death, size))
+        ClusterRecord(cid, *rec)
+        for cid, rec in enumerate(zip(parent, birth, death, size, stab))
     ]
-    tree = CondensedTree(
+    return CondensedTree(
         n_points=n, clusters=clusters, events=events, single_root=not multi
     )
-    _fill_stabilities(tree)
-    return tree
 
 
 def _span(lam, birth):
@@ -205,24 +218,6 @@ def _span(lam, birth):
     if lam == birth:
         return 0.0
     return lam - birth
-
-
-def _fill_stabilities(tree):
-    """Set each record's stability: the sum over its points of (lambda at
-    departure - birth lambda). Points leaving directly contribute their
-    fall-out event; points passing into child clusters contribute the
-    child's birth density."""
-    birth = [rec.birth_lambda for rec in tree.clusters]
-    acc = [0.0] * len(tree.clusters)
-    for _, cid, lam in tree.events:
-        if cid >= 0:
-            acc[cid] += _span(lam, birth[cid])
-    for rec in tree.clusters:
-        if rec.parent >= 0:
-            parent = tree.clusters[rec.parent]
-            acc[rec.parent] += rec.size * _span(rec.birth_lambda, parent.birth_lambda)
-    for rec, s in zip(tree.clusters, acc):
-        rec.stability = s
 
 
 def extract_flat(tree):
@@ -237,22 +232,22 @@ def extract_flat(tree):
     :class:`ClusterResult` holds the labels and ``tree`` itself.
     """
     clusters = tree.clusters
-    children = [[] for _ in clusters]
-    for rec in clusters:
-        if rec.parent >= 0:
-            children[rec.parent].append(rec.id)
     # Component roots are only selectable when they are not the all-points
     # root, i.e. when the forest had several components.
     wins = [not (tree.single_root and rec.parent == -1) for rec in clusters]
     eff = [rec.stability for rec in clusters]
-    for cid in range(len(clusters) - 1, -1, -1):
-        kids = children[cid]
-        if not kids:
-            continue
-        subtree = sum(eff[c] for c in kids)
-        if not (wins[cid] and clusters[cid].stability > subtree):
+    # Each cluster's sum of its children's best selections; None when it
+    # has no children. A split has two, so the order of their sum is moot.
+    subtree = [None] * len(clusters)
+    for rec in reversed(clusters):
+        cid = rec.id
+        below = subtree[cid]
+        if below is not None and not (wins[cid] and rec.stability > below):
             wins[cid] = False
-            eff[cid] = subtree
+            eff[cid] = below
+        p = rec.parent
+        if p >= 0:
+            subtree[p] = eff[cid] if subtree[p] is None else subtree[p] + eff[cid]
 
     # Each cluster's selected ancestor-or-self's label, else -1; the extra
     # entry label[-1] serves parent -1 and events outside any cluster.

@@ -205,14 +205,14 @@ class Hnsw:
             raise
 
         # Commit phase: no distance calls from here on.
-        for lc, x_adj, backlinks, removals in staged:
+        for lc, x_adj, pruned, drops in staged:
             layer = self._layers[lc]
             layer[x] = x_adj
-            for node, adj in backlinks.items():
-                layer[node] = adj
-            for a, b in removals:
-                layer[a].pop(b, None)
-                layer[b].pop(a, None)
+            layer.update(pruned)
+            for node, d in x_adj.items():
+                layer[node][x] = d
+            for node, old in drops:  # node's pruned set already lacks old
+                layer[old].pop(node, None)
         while len(self._layers) <= level:
             self._layers.append({x: {}})
             self._entry = x
@@ -224,8 +224,10 @@ class Hnsw:
         return rec.finish()
 
     def _stage(self, x, level, rec):
-        """Every distance call of x's insertion, and the graph edits they
-        decide as (layer, x's adjacency, replaced adjacencies, removals)."""
+        """Every distance call of x's insertion, and per layer the graph
+        edits they decide: (layer, x's links, full neighbors' pruned links,
+        dropped links). The commit derives the rest: it links x in place
+        into every node left in x's links."""
         staged = []
         if self._entry is None:
             return staged
@@ -240,26 +242,21 @@ class Hnsw:
             candidates = sorted((-nd, node) for nd, node in entry_points)
             selected = self._select_heuristic(candidates, cap, rec)
             x_adj = {node: d for d, node in selected}
-            backlinks = {}
-            removals = []
+            pruned = {}
+            drops = []
             for d_xn, node in selected:
                 adj = layer[node]
                 if len(adj) < cap:
-                    merged = dict(adj)
-                    merged[x] = d_xn
-                    backlinks[node] = merged
-                else:
-                    pool = sorted([(dd, p) for p, dd in adj.items()] + [(d_xn, x)])
-                    pruned = {p: dd for dd, p in self._select_heuristic(pool, cap, rec)}
-                    backlinks[node] = pruned
-                    # Adjacency stays symmetric: every link the prune
-                    # dropped disappears from the other endpoint too.
-                    if x not in pruned:
-                        del x_adj[node]
-                    for old in adj:
-                        if old not in pruned:
-                            removals.append((node, old))
-            staged.append((lc, x_adj, backlinks, removals))
+                    continue
+                pool = sorted([(dd, p) for p, dd in adj.items()] + [(d_xn, x)])
+                kept = {p: dd for dd, p in self._select_heuristic(pool, cap, rec)}
+                pruned[node] = kept
+                if x not in kept:
+                    del x_adj[node]
+                # Adjacency stays symmetric: the commit removes every link
+                # the prune dropped from its other endpoint too.
+                drops.extend((node, old) for old in adj if old not in kept)
+            staged.append((lc, x_adj, pruned, drops))
         return staged
 
     def _beam_search(self, x, entry_points, layer, ef, rec):
@@ -295,12 +292,13 @@ class Hnsw:
         than to any already-kept neighbor.
 
         ``candidates`` must be sorted ascending (dist-to-base, node); the
-        kept subset (same representation) is returned. A candidate-to-kept
+        kept subset (same representation) is returned, and when it keeps
+        every candidate, that is ``candidates`` itself. A candidate-to-kept
         distance the layer-0 links, the neighbor sets or the pair cache
         hold is read, not evaluated.
         """
         if len(candidates) <= cap:
-            return list(candidates)
+            return candidates
         layer0 = self._layers[0]
         near = self._neighbor_dists
         kept = []

@@ -85,10 +85,10 @@ def exact_msf(matrix, minpts):
 
 def exact_cluster(matrix, minpts, m_cs=None):
     """Full pipeline: reachability MSF, condensed tree, flat labels."""
-    lo, hi, w = exact_msf(matrix, minpts)
     n = len(matrix)
     if n < 1:
         raise ValueError("need at least one item")
+    lo, hi, w = exact_msf(matrix, minpts)
     if m_cs is None:
         m_cs = minpts
     dend = build_dendrogram(lo, hi, w, n)

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fishdbc
 from helpers import canonical_labels, write_matrix
-from fishdbc import dataio
+from fishdbc import dataio, distances, oracle
 from fishdbc.cli import _make_engine, build_parser, main
 
 
@@ -224,6 +229,20 @@ class TestStreamCommand:
         last = rows[-1].split(",")
         assert int(last[0]) == 50
 
+    def test_partial_last_chunk_gets_a_step(self, tmp_path):
+        data, _ = write_blobs(tmp_path, n=25)
+        code = main([
+            "stream", "--input", str(data), "--format", "dense-csv",
+            "--distance", "euclidean", "--minpts", "3", "--chunk", "10",
+            "--out", str(tmp_path / "s"),
+        ])
+        assert code == 0
+        steps = sorted((tmp_path / "s").glob("step_*"))
+        assert len(steps) == 3  # ceil(25 / 10)
+        rows = (tmp_path / "s" / "calls.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [10, 20, 25]
+        assert len(dataio.read_labels(steps[-1] / "labels.csv")) == 25
+
     def test_chunk_zero_rejected(self, tmp_path):
         data, _ = write_blobs(tmp_path, n=10)
         code = main([
@@ -410,6 +429,36 @@ class TestEvalCommand:
         assert "intra_cluster=" in text
         assert "silhouette=" in text
 
+    @pytest.mark.parametrize("n_pred", [39, 41])
+    def test_dataset_and_predictions_misaligned_exit_2(self, tmp_path, capsys, n_pred):
+        data, _ = write_blobs(tmp_path, n=40)
+        ref, pred = tmp_path / "ref1.csv", tmp_path / "pred1.csv"
+        dataio.write_labels(ref, ([0, 1] * 21)[:n_pred])
+        dataio.write_labels(pred, ([0, 1] * 21)[:n_pred])
+        code = main([
+            "eval", "--pred", str(pred), "--labels", str(ref), "--input", str(data),
+            "--format", "dense-csv", "--distance", "euclidean",
+        ])
+        assert code == 2
+        assert f"dataset has 40 items but {n_pred} predictions" in capsys.readouterr().err
+
+    def test_internal_metrics_skipped_without_pairs(self, tmp_path, capsys):
+        # One clustered item: no pair to sample, no two clusters to compare.
+        data, _ = write_blobs(tmp_path, n=4)
+        ref, pred = tmp_path / "ref1.csv", tmp_path / "pred1.csv"
+        dataio.write_labels(ref, [0, 0, 1, 1])
+        dataio.write_labels(pred, [-1, -1, -1, 0])
+        with pytest.warns(UserWarning, match="fewer than two clustered items"):
+            code = main([
+                "eval", "--pred", str(pred), "--labels", str(ref), "--input", str(data),
+                "--format", "dense-csv", "--distance", "euclidean",
+            ])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "intra_cluster=skipped (no same-cluster or cross-cluster pairs to sample)" in out
+        assert "inter_cluster=skipped (no same-cluster or cross-cluster pairs to sample)" in out
+        assert "silhouette=skipped (silhouette needs at least two clusters)" in out
+
     @pytest.mark.parametrize("flag, value", [
         pytest.param("--sample-size", "0", id="0"),
         pytest.param("--sample-size", "-3", id="-3"),
@@ -480,6 +529,33 @@ class TestOracleCommand:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["oracle", "--out", str(tmp_path / "o")]) == 1
+
+    def test_module_entry_point_exits_with_main_code(self, tmp_path):
+        env = dict(os.environ)
+        root = str(Path(fishdbc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fishdbc.cli", "oracle", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "exactly one of" in proc.stderr
+
+    def test_dataset_over_the_cap_exit_1_before_any_distance(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_N", 9)
+        calls = []
+        monkeypatch.setitem(distances.BUILTIN, "euclidean",
+                            lambda a, b: calls.append(1) or 0.0)
+        data, _ = write_blobs(tmp_path, n=oracle.MAX_N + 1)
+        code = main([
+            "oracle", "--input", str(data), "--format", "dense-csv",
+            "--distance", "euclidean", "--minpts", "4", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "dataset too large for the oracle: 10 > 9" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "o").exists()
 
     def test_dataset_source_with_cap(self, tmp_path, capsys):
         data, _ = write_blobs(tmp_path, n=30)

@@ -51,6 +51,12 @@ class TestSetLines:
         got = list(dataio.read_dataset("set-lines", path))
         assert got == [frozenset({1, 5, 9}), frozenset({2, 5})]
 
+    def test_non_integer_token_named(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("1 5\n2 x\n")
+        with pytest.raises(ParseError, match="s.txt:2: "):
+            list(dataio.read_dataset("set-lines", path))
+
 
 class TestTextLines:
     def test_lines_kept_verbatim(self, tmp_path):
@@ -60,6 +66,14 @@ class TestTextLines:
             "hello world",
             "foo  bar",
         ]
+
+    def test_blank_lines_skipped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "t.txt"
+        path.write_text("one\n   \ntwo\n")
+        with caplog.at_level("WARNING"):
+            got = list(dataio.read_dataset("text-lines", path))
+        assert got == ["one", "two"]
+        assert any("t.txt:2: blank line" in r.message for r in caplog.records)
 
 
 class TestBitmapCsv:
@@ -73,6 +87,12 @@ class TestBitmapCsv:
         path = tmp_path / "b.csv"
         path.write_text("1,2,0\n")
         with pytest.raises(ParseError, match="0 or 1"):
+            list(dataio.read_dataset("bitmap-csv", path))
+
+    def test_non_integer_token_named(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("1,0\n1,y\n")
+        with pytest.raises(ParseError, match="b.csv:2: "):
             list(dataio.read_dataset("bitmap-csv", path))
 
 
@@ -109,6 +129,28 @@ class TestBagOfWords:
         path.write_text("3\n5\n")
         with pytest.raises(ParseError, match="header"):
             list(dataio.read_dataset("bag-of-words", path))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("3\nW\n2\n1 1 1\n", 2, "invalid literal"),
+        ("3\n5\n2\n1 1\n", 4, "triple"),
+        ("3\n5\n2\n1 1 many\n", 4, "could not convert"),
+        ("2\n5\n2\n1 1 1\n3 2 1\n", 5, "doc id 3 exceeds header D=2"),
+    ], ids=["header-token", "not-a-triple", "row-token", "doc-above-d"])
+    def test_malformed_input_named(self, tmp_path, text, line, message):
+        path = tmp_path / "docword.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"docword.txt:{line}: .*{message}"):
+            list(dataio.read_dataset("bag-of-words", path))
+
+
+class TestDatasetFormats:
+    def test_unknown_read_format(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format 'parquet'"):
+            dataio.read_dataset("parquet", tmp_path / "x")
+
+    def test_unsupported_write_format(self, tmp_path):
+        with pytest.raises(ValueError, match="'text-lines' is not supported"):
+            dataio.write_dataset("text-lines", tmp_path / "x", ["a"])
 
 
 class TestFormatDistanceMatch:
@@ -149,6 +191,12 @@ class TestLabels:
         with pytest.raises(
             ParseError, match=f"labels.csv:{line}: index {index} should be {position}"
         ):
+            dataio.read_labels(path)
+
+    def test_three_column_row_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("0,1\n1,0,2\n")
+        with pytest.raises(ParseError, match="labels.csv:2: expected 'label'"):
             dataio.read_labels(path)
 
 
@@ -253,6 +301,20 @@ class TestDistanceLog:
         with pytest.raises(ParseError, match="item count"):
             dataio.read_distance_log(path)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "four\n0 1 0.5\n"],
+                             ids=["empty", "blank", "non-integer"])
+    def test_missing_or_bad_count_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.log"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="item count on the first line"):
+            dataio.read_distance_log(path)
+
+    def test_non_numeric_row_token(self, tmp_path):
+        path = tmp_path / "bad.log"
+        path.write_text("3\n0 1 far\n")
+        with pytest.raises(ParseError, match="bad.log:2: could not convert"):
+            dataio.read_distance_log(path)
+
 
 class TestGenerators:
     def test_blobs_shapes_and_labels(self, rng):
@@ -295,3 +357,14 @@ class TestGenerators:
         path = tmp_path / "tx.txt"
         dataio.write_dataset("set-lines", path, payloads)
         assert list(dataio.read_dataset("set-lines", path)) == payloads
+
+    def test_transactions_need_an_item_per_cluster(self, rng):
+        with pytest.raises(ValueError, match="one universe item per cluster"):
+            dataio.generate_transactions(10, dim=3, clusters=4, rng=rng)
+
+    def test_empty_draw_takes_one_pool_item(self, rng):
+        # With fill 0 no item passes the draw, so each transaction gets one.
+        payloads, _ = dataio.generate_transactions(
+            20, dim=12, clusters=3, fill=0.0, rng=rng
+        )
+        assert [len(p) for p in payloads] == [1] * 20

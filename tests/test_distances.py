@@ -208,6 +208,10 @@ class TestCosine:
         with pytest.raises(ValueError, match="mix"):
             distances.cosine({0: 1.0}, [1.0, 0.0])
 
+    def test_dense_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            distances.cosine([1.0, 2.0], [1.0, 2.0, 3.0])
+
 
 class TestJaccard:
     def test_equal_sets(self):
@@ -221,6 +225,9 @@ class TestJaccard:
 
     def test_both_empty(self):
         assert distances.jaccard(set(), set()) == 0.0
+
+    def test_lists_taken_as_sets(self):
+        assert distances.jaccard([1, 2, 3, 3], [2, 3, 4]) == 0.5
 
 
 class TestJaroWinkler:
@@ -315,6 +322,11 @@ class TestHamming:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             distances.hamming("abc", "ab")
+
+    def test_numpy_arrays(self):
+        a = np.array([1, 2, 3, 4])
+        got = distances.hamming(a, np.array([1, 0, 3, 0]))
+        assert got == 2.0 and type(got) is float
 
 
 def _random_payload_pairs(name, rng, count):

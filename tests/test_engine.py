@@ -85,6 +85,12 @@ class TestSetup:
         assert engine.forest_edges() == []
         assert engine.distance_calls == 0
 
+    def test_pair_log_needs_record_pairs(self):
+        engine = FISHDBC(distances.euclidean)
+        engine.add(np.zeros(2))
+        with pytest.raises(RuntimeError, match="record_pairs=True"):
+            engine.pair_log()
+
     def test_minpts_one_rejected(self):
         with pytest.raises(ValueError, match="minpts"):
             FISHDBC(distances.cosine, minpts=1)

@@ -8,7 +8,6 @@ import pytest
 from fishdbc.hierarchy import (
     ClusterRecord,
     CondensedTree,
-    _fill_stabilities,
     build_dendrogram,
     condense,
     extract_flat,
@@ -112,6 +111,30 @@ def reference_condense(dend, m_cs):
         walk(root, rec)
 
     return clusters, point_sig
+
+
+def reference_stabilities(tree):
+    """Set each record's stability in a second pass over a condensed tree:
+    the sum over its points of (lambda at departure - birth lambda). Points
+    leaving directly contribute their fall-out event, in event order; then
+    points passing into child clusters contribute the child's birth
+    density, in child id order. ``condense`` sums as it goes, and must
+    give these stabilities bit for bit."""
+
+    def span(lam, birth):
+        return 0.0 if lam == birth else lam - birth
+
+    birth = [rec.birth_lambda for rec in tree.clusters]
+    acc = [0.0] * len(tree.clusters)
+    for _, cid, lam in tree.events:
+        if cid >= 0:
+            acc[cid] += span(lam, birth[cid])
+    for rec in tree.clusters:
+        if rec.parent >= 0:
+            parent = tree.clusters[rec.parent]
+            acc[rec.parent] += rec.size * span(rec.birth_lambda, parent.birth_lambda)
+    for rec, s in zip(tree.clusters, acc):
+        rec.stability = s
 
 
 def reference_extract_flat(tree):
@@ -312,7 +335,7 @@ class TestStability:
             events=events,
             single_root=single_root,
         )
-        _fill_stabilities(tree)
+        reference_stabilities(tree)
         return tree
 
     def test_all_points_fall_at_birth(self):
@@ -513,6 +536,86 @@ class TestExtractFlatMatchesReference:
                 j = int(rng.integers(0, i))
                 lo.append(j), hi.append(i), w.append(float(rng.integers(1, 6)))
             self.check(condense(dendrogram(lo, hi, w, n), m_cs))
+
+
+def children_list_extract_flat(tree):
+    """The selection as it was when it built a children list per cluster
+    and summed each list with ``sum``; sets the flags in place and
+    returns the labels."""
+    clusters = tree.clusters
+    children = [[] for _ in clusters]
+    for rec in clusters:
+        if rec.parent >= 0:
+            children[rec.parent].append(rec.id)
+    wins = [not (tree.single_root and rec.parent == -1) for rec in clusters]
+    eff = [rec.stability for rec in clusters]
+    for cid in range(len(clusters) - 1, -1, -1):
+        kids = children[cid]
+        if not kids:
+            continue
+        subtree = sum(eff[c] for c in kids)
+        if not (wins[cid] and clusters[cid].stability > subtree):
+            wins[cid] = False
+            eff[cid] = subtree
+    label = [-1] * (len(clusters) + 1)
+    n_labels = 0
+    for rec in clusters:
+        up = label[rec.parent]
+        rec.selected = wins[rec.id] and up < 0
+        if rec.selected:
+            up = n_labels
+            n_labels += 1
+        label[rec.id] = up
+    labels = [-1] * tree.n_points
+    for point, cid, _ in tree.events:
+        labels[point] = label[cid]
+    return labels
+
+
+def random_forest_dendrogram(rng):
+    """The dendrogram of a random tree on 2-60 points whose weights tie
+    often, are sometimes 0 and sometimes +inf; the forest step drops the
+    +inf edges, which leaves several components."""
+    n = int(rng.integers(2, 61))
+    hi = np.arange(1, n, dtype=np.int64)
+    lo = (rng.random(n - 1) * hi).astype(np.int64)  # each point links below
+    kind = rng.random(n - 1)
+    w = np.where(
+        kind < 0.4, rng.integers(1, 4, size=n - 1) / 4.0, rng.random(n - 1)
+    )
+    w[kind > 0.85] = 0.0
+    w[kind > 0.95] = np.inf
+    return build_dendrogram(*spanning_forest(lo, hi, w, n), n)
+
+
+class TestSinglePassMatchesReferences:
+    """``condense`` sums stabilities as it builds the tree and
+    ``extract_flat`` sums children as it climbs; both give the two-pass
+    references' results bit for bit."""
+
+    def test_random_forests(self):
+        rng = np.random.default_rng(2025)
+        seen = {"components": 0, "splits": 0, "infinite": 0, "selected": 0}
+        for k in range(2700):
+            m_cs = 2 + k % 9
+            tree = condense(random_forest_dendrogram(rng), m_cs)
+            want = copy.deepcopy(tree)
+            reference_stabilities(want)
+            assert [c.stability.hex() for c in tree.clusters] == [
+                c.stability.hex() for c in want.clusters
+            ]
+            labels = children_list_extract_flat(want)
+            flat = extract_flat(tree)
+            assert flat.labels.tolist() == labels
+            assert [c.selected for c in tree.clusters] == [
+                c.selected for c in want.clusters
+            ]
+            assert tree_to_dict(tree) == tree_to_dict(want)
+            seen["components"] += not tree.single_root
+            seen["splits"] += any(c.parent >= 0 for c in tree.clusters)
+            seen["infinite"] += any(math.isinf(lam) for _, _, lam in tree.events)
+            seen["selected"] += bool(tree.selected_ids())
+        assert min(seen.values()) > 100, seen
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import noisy_strings
 from fishdbc import FISHDBC, distances, hnsw
+from fishdbc.dataio import generate_blobs
 from fishdbc.distances import DistanceError, euclidean, jaro_winkler
 from fishdbc.hnsw import Hnsw, _Recorder
 
@@ -467,3 +468,100 @@ class TestAtomicity:
         idx.insert(0)
         with pytest.raises(DistanceError):
             idx.insert(1)
+
+
+class CopyingHnsw(Hnsw):
+    """The index as it was when staging copied every linked neighbor's
+    adjacency: each copy gains x, each full neighbor's is replaced by its
+    pruned set, and each dropped link is popped from both endpoints. The
+    in-place commit must leave the very same layers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.removed = 0
+
+    def insert(self, x):
+        rec = _Recorder(self._distance, self._items, self._recent, self._older)
+        level = self.assign_level()
+        staged = self._stage(x, level, rec)
+        for lc, x_adj, backlinks, removals in staged:
+            layer = self._layers[lc]
+            layer[x] = x_adj
+            for node, adj in backlinks.items():
+                layer[node] = adj
+            for a, b in removals:
+                layer[a].pop(b, None)
+                layer[b].pop(a, None)
+            self.removed += len(removals)
+        while len(self._layers) <= level:
+            self._layers.append({x: {}})
+            self._entry = x
+        recent = self._recent
+        recent.update(rec.served)
+        if len(recent) > 4 * len(self._layers[0]):
+            self._older = recent
+            self._recent = {}
+        return rec.finish()
+
+    def _stage(self, x, level, rec):
+        staged = []
+        if self._entry is None:
+            return staged
+        entry_points = [(-rec(x, self._entry), self._entry)]
+        for lc in range(len(self._layers) - 1, -1, -1):
+            layer = self._layers[lc]
+            ef = 1 if lc > level else self._ef
+            entry_points = self._beam_search(x, entry_points, layer, ef, rec)
+            if lc > level:
+                continue
+            cap = self._m0 if lc == 0 else self._m
+            candidates = sorted((-nd, node) for nd, node in entry_points)
+            selected = self._select_heuristic(candidates, cap, rec)
+            x_adj = {node: d for d, node in selected}
+            backlinks = {}
+            removals = []
+            for d_xn, node in selected:
+                adj = layer[node]
+                if len(adj) < cap:
+                    merged = dict(adj)
+                    merged[x] = d_xn
+                    backlinks[node] = merged
+                else:
+                    pool = sorted([(dd, p) for p, dd in adj.items()] + [(d_xn, x)])
+                    pruned = {p: dd for dd, p in self._select_heuristic(pool, cap, rec)}
+                    backlinks[node] = pruned
+                    if x not in pruned:
+                        del x_adj[node]
+                    for old in adj:
+                        if old not in pruned:
+                            removals.append((node, old))
+            staged.append((lc, x_adj, backlinks, removals))
+        return staged
+
+
+def ordered_layers(idx):
+    """Every layer as nested lists, so that dict order counts too."""
+    return [
+        [(node, list(adj.items())) for node, adj in layer.items()]
+        for layer in idx._layers
+    ]
+
+
+class TestInPlaceCommit:
+    @pytest.mark.parametrize("data", ["blobs", "strings"])
+    def test_layers_match_the_copying_commit(self, data):
+        rng = np.random.default_rng(25)
+        if data == "blobs":
+            items = list(generate_blobs(600, 10, rng=rng)[0])
+            distance, m = euclidean, 10
+        else:
+            items = noisy_strings(300, rng)
+            distance, m = jaro_winkler, 5
+        args = dict(m=m, ef=20, neighbor_dists={})
+        idx = Hnsw(distance, items, rng=np.random.default_rng(7), **args)
+        ref = CopyingHnsw(distance, items, rng=np.random.default_rng(7), **args)
+        for i in range(len(items)):
+            assert idx.insert(i) == ref.insert(i)
+            assert ordered_layers(idx) == ordered_layers(ref)
+        assert len(idx._layers) > 1
+        assert ref.removed > 0  # full neighbors were pruned

@@ -88,10 +88,22 @@ class TestAri:
         with pytest.raises(ValueError, match="align"):
             metrics.ari([0, 1], [0, 1, 2])
 
+    def test_one_item_rejected(self):
+        with pytest.raises(ValueError, match="at least two"):
+            metrics.ari([0], [0])
+
 
 class TestAmi:
     def test_identical(self):
         assert metrics.ami([0, 0, 1, 1], [1, 1, 0, 0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 8])
+    def test_identical_singletons_score_one(self, n):
+        # Here 0.5 * (H(ref) + H(pred)) - EMI rounds to a tiny negative
+        # number, and the clamp keeps its sign.
+        counts, a, b = metrics.contingency(list(range(n)), list(range(n)))
+        assert metrics._entropy(a, n) - metrics._expected_mi(a, b, n) < 0
+        assert metrics.ami(list(range(n)), list(reversed(range(n)))) == pytest.approx(1.0)
 
     def test_single_predicted_cluster_is_zero(self):
         assert metrics.ami([0, 0, 1, 1], [0, 0, 0, 0]) == pytest.approx(0.0, abs=1e-12)

@@ -38,6 +38,10 @@ class TestExactCoreDistances:
         m = np.zeros((3, 3))
         assert (oracle.exact_core_distances(m, 5) == INF).all()
 
+    def test_minpts_below_one_rejected(self):
+        with pytest.raises(ValueError, match="minpts must be >= 1"):
+            oracle.exact_core_distances(np.zeros((3, 3)), 0)
+
     def test_matches_independent_sort(self, rng):
         points = rng.random((20, 3))
         m = pairwise_euclidean(points)
@@ -71,6 +75,10 @@ class TestMutualReachability:
 
 
 class TestValidation:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            oracle.exact_cluster(np.zeros((2, 3)), 2)
+
     def test_rejects_negative_entries(self):
         m = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match=">= 0"):
@@ -109,6 +117,11 @@ class TestValidation:
 
 
 class TestExactCluster:
+    def test_empty_matrix_rejected_before_the_forest(self, monkeypatch):
+        monkeypatch.setattr(oracle, "exact_msf", lambda *args: pytest.fail("built"))
+        with pytest.raises(ValueError, match="at least one item"):
+            oracle.exact_cluster(np.zeros((0, 0)), minpts=2)
+
     def test_single_item_noise(self):
         result = oracle.exact_cluster(np.zeros((1, 1)), minpts=2, m_cs=2)
         assert result.labels.tolist() == [-1]
