@@ -4,6 +4,10 @@ Every distance is symmetric bit for bit, returns a finite float >= 0 and
 evaluates to 0 on identical inputs. The engine relies on the symmetry: it
 reuses d(a, b) where it would otherwise compute d(b, a). No triangle inequality is assumed anywhere, so arbitrary
 user-supplied functions with the same contract are accepted by the engine.
+
+``PREPARED`` maps ``euclidean`` to ``(prepare, kernel)``: the engine
+converts each payload once with ``prepare`` and measures the results with
+``kernel``, and ``euclidean(a, b)`` is ``kernel(prepare(a), prepare(b))``.
 """
 
 import math
@@ -15,8 +19,10 @@ import numpy as np
 __all__ = [
     "DistanceError",
     "euclidean",
-    "euclidean_many",
-    "MANY",
+    "PREPARED",
+    "prepare_euclidean",
+    "euclidean_kernel",
+    "TUPLE_DIM",
     "cosine",
     "jaccard",
     "jaro_winkler",
@@ -31,37 +37,48 @@ class DistanceError(ValueError):
     """A distance function broke its contract (NaN, negative, non-finite)."""
 
 
-def euclidean(a, b):
-    """Euclidean distance between two dense real vectors."""
-    if not isinstance(a, np.ndarray) or a.dtype != np.float64:
-        a = np.ascontiguousarray(a, dtype=np.float64)
-    if not isinstance(b, np.ndarray) or b.dtype != np.float64:
-        b = np.ascontiguousarray(b, dtype=np.float64)
+# Up to this many coordinates a Euclidean payload is prepared as a float
+# tuple for math.dist, which costs a few ns a coordinate; above it numpy's
+# dot costs about 1 us a call and less a coordinate. A pair took 0.82 vs
+# 1.10 us at 128 coordinates and 1.26 vs 1.23 at 192 (2-vCPU Xeon); a tuple
+# takes 32 B a coordinate against 8, so the limit is the power of two below.
+TUPLE_DIM = 128
+
+
+def prepare_euclidean(a):
+    """``a`` as ``euclidean_kernel`` measures it fastest: a new tuple of
+    floats for a vector of at most ``TUPLE_DIM`` coordinates, else a
+    C-contiguous float64 array (``a`` itself if it is one). A scalar is a
+    vector of one coordinate."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim == 1 and len(a) <= TUPLE_DIM:
+        return tuple(a.tolist())
+    return a
+
+
+def euclidean_kernel(a, b):
+    """Euclidean distance between two payloads, prepared or not: up to
+    ``TUPLE_DIM`` coordinates ``math.dist``, which scales and so neither
+    overflows nor underflows, above it ``sqrt(dot(d, d))``. The choice
+    follows the dimension, not the container, so both forms give the same
+    bits. Anything but two vectors of one length takes the numpy path,
+    which raises the error, such as a dimension mismatch."""
+    try:
+        if len(a) <= TUPLE_DIM:
+            return math.dist(a, b)
+    except (TypeError, ValueError):
+        pass
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    return math.sqrt(np.dot(d, d))
+    return math.sqrt(d.dot(d))
 
 
-def euclidean_many(a, bs):
-    """``[euclidean(a, b) for b in bs]``, bit for bit, in one numpy pass.
-
-    Each row goes through the same ``dot`` kernel as the scalar form (a
-    stacked 1 x dim by dim x 1 ``matmul`` calls it per row), and ``b - a``
-    is exactly ``-(a - b)``, so every value equals the scalar one. Returns
-    None when the payloads do not form one (len(bs), dim) matrix matching
-    ``a``; the caller then takes the scalar path, which raises the scalar
-    function's errors, such as a dimension mismatch.
-    """
-    try:
-        a = np.asarray(a, dtype=np.float64)
-        rows = np.array(bs, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if a.ndim != 1 or rows.shape != (len(bs), a.shape[0]):
-        return None
-    rows -= a
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel()).tolist()
+def euclidean(a, b):
+    """Euclidean distance between two dense real vectors."""
+    return euclidean_kernel(prepare_euclidean(a), prepare_euclidean(b))
 
 
 def _normal(v):
@@ -125,10 +142,11 @@ def jaccard(a, b):
         a = frozenset(a)
     if not isinstance(b, (set, frozenset)):
         b = frozenset(b)
-    union = len(a | b)
+    inter = len(a & b)
+    union = len(a) + len(b) - inter
     if union == 0:
         return 0.0
-    return 1.0 - len(a & b) / union
+    return 1.0 - inter / union
 
 
 def jaro_winkler(a, b):
@@ -211,8 +229,8 @@ BUILTIN = {
 }
 
 
-# One-to-many forms of built-in distances, keyed by the scalar function.
-MANY = {euclidean: euclidean_many}
+# Prepared forms of built-in distances, keyed by the distance function.
+PREPARED = {euclidean: (prepare_euclidean, euclidean_kernel)}
 
 
 def by_name(name):

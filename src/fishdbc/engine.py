@@ -23,6 +23,7 @@ restricted to computed pairs.
 
 import numpy as np
 
+from .distances import PREPARED
 from .hierarchy import build_dendrogram, check_min_cluster_size, condense, extract_flat
 from .hnsw import Hnsw
 from .msf import CandidateBuffer, Msf, update_msf
@@ -42,6 +43,12 @@ class FISHDBC:
     known, possibly computed with the arguments swapped, is reused instead
     of computed again. Single writer: ``add``, ``flush`` and
     ``cluster`` must not run concurrently.
+
+    The built-in ``euclidean`` (``distances.PREPARED``) has each payload
+    converted once, in ``add``, and the HNSW measures the converted ones.
+    So the engine keeps its own copy of a Euclidean payload of up to
+    ``distances.TUPLE_DIM`` coordinates; a longer C-contiguous float64
+    array is kept as given, like any other distance's payload.
     """
 
     def __init__(self, distance, *, minpts=10, ef=20, rng_seed=0,
@@ -52,6 +59,10 @@ class FISHDBC:
         if not ef >= 1:
             raise ValueError(f"ef must be >= 1 (got {ef})")
         self._items = []
+        try:
+            self._prepare, distance = PREPARED[distance]
+        except (KeyError, TypeError):  # TypeError: an unhashable distance
+            self._prepare = None
         # The HNSW degree target is M = minpts. The HNSW reads distances
         # the neighbor sets hold instead of recomputing them.
         self._hnsw = Hnsw(
@@ -99,10 +110,13 @@ class FISHDBC:
     def add(self, payload):
         """Insert one item; returns its dense integer id.
 
-        A distance function failure (NaN, negative, non-finite) aborts the
-        insertion with no state change.
+        A distance function failure (NaN, negative, non-finite), or a
+        payload the prepared form cannot convert, aborts the insertion with
+        no state change.
         """
         x = len(self._items)
+        if self._prepare is not None:
+            payload = self._prepare(payload)
         self._items.append(payload)
         try:
             triples, calls = self._hnsw.insert(x)

@@ -30,21 +30,14 @@ re-compares a node's links long after it first met them, so a shorter
 generation drops pairs before their next use, and a longer one holds more
 memory for few more hits.
 
-The search evaluates a node's unvisited neighbors together, as hnswlib and
-Malkov & Yashunin's Alg. 2 do. When the distance has a batched form
-(``distances.MANY``: the built-in ``euclidean``) and two or more of those
-pairs are unknown, they cost one call of that form, whose values equal the
-scalar function's bit for bit; the search then consumes them in
-neighbor order. Any other distance, including a wrapper around a built-in
-(such as a tracer's timing wrapper), is called one pair at a time. The
-selection heuristic stays scalar: it stops at the first closer kept
-neighbor, so batching its comparisons would add calls.
+The search evaluates a node's unvisited neighbors one call each, in
+neighbor order, as hnswlib and Malkov & Yashunin's Alg. 2 do.
 """
 
 import heapq
 import math
 
-from .distances import MANY, DistanceError
+from .distances import DistanceError
 
 __all__ = ["Hnsw"]
 
@@ -61,22 +54,15 @@ class _Recorder:
     returns is finite and >= 0, or ``_reject`` raises. A pair already
     evaluated in this insertion is answered from the memo, and only a real
     call to ``fn`` writes it, so the memo holds one entry, and yields one
-    triple, per real call. ``many`` evaluates one item against a
-    list of others, in one call of the distance's batched form when it has
-    one (``distances.MANY``) and two or more of the pairs are unknown.
-    ``cached`` also reads the index's pair cache (``recent``, ``older``)
-    and collects the pairs it serves in ``served``, which only the
-    insertion's commit writes back.
+    triple, per real call. ``cached`` also reads the index's pair cache
+    (``recent``, ``older``) and collects the pairs it serves in ``served``,
+    which only the insertion's commit writes back.
     """
 
-    __slots__ = ("fn", "batched", "items", "memo", "recent", "older", "served")
+    __slots__ = ("fn", "items", "memo", "recent", "older", "served")
 
     def __init__(self, fn, items, recent, older):
         self.fn = fn
-        try:
-            self.batched = MANY.get(fn)
-        except TypeError:  # an unhashable callable has no batched form
-            self.batched = None
         self.items = items
         self.memo = {}
         self.recent = recent
@@ -111,27 +97,6 @@ class _Recorder:
         self.served[packed] = v
         return v
 
-    def many(self, a, ids):
-        """``[self(a, b) for b in ids]`` for distinct ids; values are
-        validated, and any error raised, in the order of ``ids``."""
-        if self.batched is None:
-            return [self(a, b) for b in ids]
-        memo = self.memo
-        keys = [(a, b) if a < b else (b, a) for b in ids]
-        out = list(map(memo.get, keys))
-        todo = [i for i, v in enumerate(out) if v is None]
-        if len(todo) < 2:
-            return [self(a, b) for b in ids]
-        items = self.items
-        values = self.batched(items[a], [items[ids[i]] for i in todo])
-        if values is None:  # payloads the batched form does not handle
-            return [self(a, b) for b in ids]
-        for i, v in zip(todo, values):
-            if not 0.0 <= v < math.inf:
-                _reject(a, ids[i], v)
-            memo[keys[i]] = out[i] = v
-        return out
-
     def finish(self):
         """``(triples, calls)``: one (a, b, v) triple per memo entry, and
         their number, which is the number of real calls."""
@@ -149,8 +114,9 @@ def _reject(a, b, v):
 class Hnsw:
     """Insertion-only HNSW over items addressed by dense integer ids.
 
-    ``items`` is a shared sequence of payloads owned by the caller; the id of
-    an item is its index in that sequence. ``m`` is the per-layer degree
+    ``items`` is a shared sequence of payloads owned by the caller, in the
+    form ``distance`` measures; the id of an item is its index in that
+    sequence. ``m`` is the per-layer degree
     target and ``ef`` the construction beam width.
     ``neighbor_dists`` is the caller's ``{item: {neighbor: distance}}`` map
     of distances it already holds, read but never written here; every value
@@ -274,10 +240,9 @@ class Hnsw:
             if dist > worst:
                 break
             fresh = [nbr for nbr in layer[node] if nbr not in visited]
-            if not fresh:
-                continue
             visited.update(fresh)
-            for nbr, d in zip(fresh, rec.many(x, fresh)):
+            for nbr in fresh:
+                d = rec(x, nbr)
                 if len(entry_points) < ef:
                     heapq.heappush(candidates, (d, nbr))
                     heapq.heappush(entry_points, (-d, nbr))

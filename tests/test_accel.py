@@ -46,7 +46,7 @@ def reference_sweep(lo, hi, parent):
 
 
 class TestEuclideanKernel:
-    """The Euclidean kernel now lives inline in ``distances.euclidean``."""
+    """The Euclidean kernel lives in ``distances.euclidean_kernel``."""
 
     def test_matches_numpy(self, rng):
         for _ in range(50):

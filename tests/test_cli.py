@@ -289,8 +289,8 @@ class TestDataErrors:
         ("stream", ["--chunk", "50"]),
     ])
     def test_late_ragged_row_named(self, tmp_path, capsys, command, extra):
-        # By item 250 the engine evaluates neighbor lists in batches; the
-        # ragged item still fails with the scalar distance's error.
+        # By item 250 the engine measures prepared payloads; the ragged
+        # item still fails with euclidean's own error.
         rng = np.random.default_rng(0)
         rows = [",".join(repr(float(v)) for v in row) for row in rng.random((300, 2))]
         rows[250] += ",0.5"

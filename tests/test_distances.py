@@ -130,36 +130,77 @@ class TestEuclidean:
             distances.euclidean([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-class TestEuclideanMany:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 100, 1000])
-    def test_equals_scalar_bit_for_bit(self, rng, dim):
+def float_payloads(rng, dim, scale):
+    """Two vectors of ``dim`` coordinates as float64, list, float32 and
+    int payloads."""
+    a, b = rng.normal(size=(2, dim)) * scale
+    return [
+        (a, b),
+        (a.tolist(), b.tolist()),
+        (a.astype(np.float32), b.astype(np.float32)),
+        ((a * 1e3).astype(np.int64).tolist(), (b * 1e3).astype(np.int64).tolist()),
+    ]
+
+
+class TestPreparedEuclidean:
+    D = distances.TUPLE_DIM
+
+    def test_registered(self):
+        assert distances.PREPARED == {
+            distances.euclidean: (distances.prepare_euclidean, distances.euclidean_kernel)
+        }
+
+    @pytest.mark.parametrize("dim", [1, 2, 10, D, D + 1, 1000])
+    def test_equals_kernel_on_prepared_payloads(self, rng, dim):
+        prep, kernel = distances.prepare_euclidean, distances.euclidean_kernel
         for scale in (1e-3, 1.0, 1e3):
-            a = rng.normal(size=dim) * scale
-            bs = list(rng.normal(size=(40, dim)) * scale)
-            want = [distances.euclidean(a, b).hex() for b in bs]
-            got = distances.euclidean_many(a, bs)
-            assert [v.hex() for v in got] == want
-            # the same values with the arguments swapped
-            assert [distances.euclidean(b, a).hex() for b in bs] == want
+            for a, b in float_payloads(rng, dim, scale):
+                want = distances.euclidean(a, b).hex()
+                assert kernel(prep(a), prep(b)).hex() == want
+                assert kernel(prep(b), prep(a)).hex() == want
+                assert distances.euclidean(b, a).hex() == want
+                # unprepared payloads reaching the kernel give the same bits
+                assert kernel(np.asarray(a, dtype=np.float64), b).hex() == want
 
-    def test_list_payloads(self, rng):
-        a = rng.random(7).tolist()
-        bs = rng.random((12, 7)).tolist()
-        got = distances.euclidean_many(a, bs)
-        assert got == [distances.euclidean(a, b) for b in bs]
+    def test_form_follows_dimension(self, rng):
+        D = distances.TUPLE_DIM
+        small = distances.prepare_euclidean(np.arange(D, dtype=np.float32))
+        assert type(small) is tuple and all(type(v) is float for v in small)
+        row = rng.random(D + 1)
+        assert distances.prepare_euclidean(row) is row
+        big = distances.prepare_euclidean(list(row))
+        assert big.dtype == np.float64 and big.flags.c_contiguous
 
-    @pytest.mark.parametrize("a, bs", [
-        ([0.0, 0.0], [[1.0, 1.0], [2.0, 2.0, 2.0]]),  # ragged rows
-        ([0.0, 0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]]),  # rows shorter than a
-        ([0.0], [[1.0, 1.0], [2.0, 2.0]]),  # would broadcast
-        (0.0, [1.0, 2.0]),  # scalars
-        ("ab", ["cd", "ef"]),  # not numbers
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([0.0] * D, [0.0] * (D + 1)),
+        ([0.0] * (D + 1), [0.0] * D),
+        ([0.0] * (D + 1), [0.0] * (D + 2)),
+        (0.0, [1.0, 2.0]),
     ])
-    def test_unhandled_payloads_return_none(self, a, bs):
-        assert distances.euclidean_many(a, bs) is None
+    def test_ragged_pairs_raise_dimension_mismatch(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                distances.euclidean(x, y)
 
-    def test_registered_as_batched_form(self):
-        assert distances.MANY == {distances.euclidean: distances.euclidean_many}
+    def test_zero_d_payloads(self):
+        # A scalar is a vector of one coordinate, as np.ascontiguousarray
+        # makes it, so every 0-d pair keeps its value.
+        for a, b in ((3.0, 5.0), (np.float32(3.0), 5), (np.array(3.0), np.array(5.0))):
+            assert distances.euclidean(a, b) == distances.euclidean(b, a) == 2.0
+        assert distances.euclidean(3, [5.0]) == 2.0
+        # A 0-d float64 array was the one scalar taken as a vector of no
+        # coordinates; it now follows the same rule.
+        assert distances.euclidean(np.array(3.0), [5.0]) == 2.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 10, D])
+    def test_huge_magnitudes_stay_finite(self, rng, dim):
+        a, b = rng.normal(size=(2, dim)) * 1e200
+        got = distances.euclidean(a, b)
+        assert math.isfinite(got) and got > 0.0
+        assert got == pytest.approx(1e200 * distances.euclidean(a / 1e200, b / 1e200),
+                                    rel=1e-12)
 
 
 class TestCosine:
@@ -228,6 +269,22 @@ class TestJaccard:
 
     def test_lists_taken_as_sets(self):
         assert distances.jaccard([1, 2, 3, 3], [2, 3, 4]) == 0.5
+
+    def test_equals_union_formula_bit_for_bit(self, rng):
+        # The union size is len(a) + len(b) - len(a & b), the same integer
+        # as len(a | b), so every value keeps its bits.
+        def union_formula(a, b):
+            union = len(a | b)
+            return 0.0 if union == 0 else 1.0 - len(a & b) / union
+
+        pairs = [(set(), set()), (set(), {1}), ({1, 2}, set()), ({7}, {7})]
+        for _ in range(2000):
+            universe = int(rng.integers(1, 400))
+            a = set(rng.integers(0, universe, size=int(rng.integers(0, 300))).tolist())
+            b = set(rng.integers(0, universe, size=int(rng.integers(0, 300))).tolist())
+            pairs += [(a, b), (a, set(a)), (frozenset(b), a)]
+        for a, b in pairs:
+            assert distances.jaccard(a, b).hex() == union_formula(a, b).hex()
 
 
 class TestJaroWinkler:

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import subprocess
@@ -141,7 +142,9 @@ class TestAdd:
         assert ids == list(range(20))
 
     def test_failing_distance_is_atomic(self, rng):
-        engine = FISHDBC(distances.euclidean, minpts=3)
+        # Built on a wrapper, not the built-in function, so payloads reach
+        # the distance as given and the swapped one sees ``bad``.
+        engine = FISHDBC(lambda a, b: distances.euclidean(a, b), minpts=3)
         for _ in range(10):
             engine.add(rng.random(2))
         n_before = engine.n
@@ -163,6 +166,15 @@ class TestAdd:
         assert len(engine._buf) == cand_before
         engine._hnsw._distance = distances.euclidean
         assert engine.add(rng.random(2)) == n_before
+
+    def test_unpreparable_payload_is_atomic(self, rng):
+        engine = FISHDBC(distances.euclidean, minpts=3)
+        for _ in range(10):
+            engine.add(rng.random(2))
+        before = engine.n, engine.distance_calls, len(engine._buf)
+        with pytest.raises(TypeError):
+            engine.add(object())
+        assert (engine.n, engine.distance_calls, len(engine._buf)) == before
 
     def test_failed_add_leaves_later_results_unchanged(self, rng):
         # The failed add must not consume anything later inserts depend on,
@@ -412,10 +424,11 @@ class TestDistanceReuse:
         assert engine.distance_calls / n < (n - 1) / 2
 
 
-class TestBatchedTap:
-    """The built-in Euclidean is evaluated a neighbor list at a time; a
-    wrapped copy of it takes the scalar path. Both must build the same
-    engine."""
+class TestPreparedTap:
+    """The built-in Euclidean measures payloads the engine prepared once
+    with ``distances.euclidean_kernel``; a wrapped copy of it sees the
+    caller's payloads and prepares both on every call. Both must build the
+    same engine."""
 
     @staticmethod
     def state(engine):
@@ -423,7 +436,7 @@ class TestBatchedTap:
         return engine.distance_calls, engine.forest_edges(), labels, engine.pair_log()
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_batched_and_scalar_paths_build_the_same_engine(self, seed):
+    def test_prepared_and_wrapped_distances_build_the_same_engine(self, seed):
         rng = np.random.default_rng(seed)
         X, _ = dataio.generate_blobs(1000, dim=10, centers=5, rng=rng)
         states = []
@@ -434,49 +447,98 @@ class TestBatchedTap:
             states.append(self.state(engine))
         assert states[0] == states[1]
 
-    def test_nan_in_a_batch_is_atomic(self, monkeypatch):
-        # A NaN payload fails at its first distance, which is to the entry
-        # point and scalar. To fail inside a batched neighbor-list
-        # expansion instead, every stored payload but the entry point's
-        # turns NaN for one add() and is restored after it.
+    def test_unhashable_distance_is_called_on_raw_payloads(self, rng):
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, a, b):
+                assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                return distances.euclidean(a, b)
+
+        X = list(rng.random((120, 3)))
+        states = []
+        for distance in (Unhashable(), distances.euclidean):
+            engine = FISHDBC(distance, minpts=4, rng_seed=12, record_pairs=True)
+            for row in X:
+                engine.add(row)
+            states.append(self.state(engine))
+        assert states[0] == states[1]
+
+    def test_failure_on_a_later_call_is_atomic(self):
+        # A distance that fails on the k-th call of one insertion, k > 1,
+        # after earlier calls of it succeeded, changes nothing.
         data = np.random.default_rng(6).random((400, 4))
-        batches = []
-        many = distances.euclidean_many
+        fail_on = [None]
+        count = [0]
 
-        def spy(a, bs):
-            values = many(a, bs)
-            batches.append(any(math.isnan(v) for v in values))
-            return values
-
-        monkeypatch.setitem(distances.MANY, distances.euclidean, spy)
+        def fragile(a, b):
+            count[0] += 1
+            if count[0] == fail_on[0]:
+                return math.nan
+            return distances.euclidean(a, b)
 
         def unflushed(engine):
             layers = [{x: dict(adj) for x, adj in layer.items()}
                       for layer in engine._hnsw._layers]
             return (engine.n, engine.distance_calls, len(engine._buf),
-                    engine.pair_log(), layers)
+                    engine.pair_log(), layers, engine._hnsw._recent,
+                    engine._hnsw._older, engine._hnsw._rng.bit_generator.state)
 
         def run(fail_at):
-            rows = [row.copy() for row in data]
-            engine = FISHDBC(distances.euclidean, minpts=5, rng_seed=3, record_pairs=True)
-            for k, row in enumerate(rows):
+            engine = FISHDBC(fragile, minpts=5, rng_seed=3, record_pairs=True)
+            for k, row in enumerate(data):
                 if k == fail_at:
-                    before = unflushed(engine)
-                    saved = [r.copy() for r in rows[:k]]
-                    for i in range(k):
-                        if i != engine._hnsw._entry:
-                            rows[i][:] = np.nan
-                    batches.clear()
+                    before = copy.deepcopy(unflushed(engine))
+                    count[0] = 0
+                    fail_on[0] = 40
                     with pytest.raises(DistanceError):
-                        engine.add(row.copy())
-                    assert batches[-1]  # the failure came from a batch
-                    for r, s in zip(rows, saved):
-                        r[:] = s
+                        engine.add(row)
+                    assert count[0] == 40  # the 40th call failed, not the first
+                    fail_on[0] = None
                     assert unflushed(engine) == before
                 engine.add(row)
             return self.state(engine)
 
         assert run(fail_at=300) == run(fail_at=None)
+
+    def test_changing_a_row_in_place_after_add_changes_nothing(self):
+        # The engine keeps its own copy of a payload of up to TUPLE_DIM
+        # coordinates.
+        X, _ = dataio.generate_blobs(300, dim=10, centers=3,
+                                     rng=np.random.default_rng(8))
+
+        def run(scribble):
+            rows = X.copy()
+            engine = FISHDBC(distances.euclidean, minpts=5, rng_seed=8,
+                             record_pairs=True)
+            states = []
+            for k, row in enumerate(rows):
+                engine.add(row)
+                if scribble:
+                    row[:] = 1e6 * (k + 1)  # moves every stored coordinate
+                if k % 100 == 99:
+                    states.append(self.state(engine))
+            return states
+
+        assert run(scribble=True) == run(scribble=False)
+
+    @pytest.mark.parametrize("dim", [2, 10, distances.TUPLE_DIM])
+    def test_huge_magnitudes_are_added(self, dim):
+        # 2**665 is about 1.3e200: squares of such coordinates overflow, but
+        # math.dist scales by powers of two, so every distance is exactly
+        # 2**665 times the unscaled one.
+        scale = 2.0 ** 665
+        rng = np.random.default_rng(4)
+        X, _ = dataio.generate_blobs(200, dim=dim, centers=2, rng=rng)
+        small = FISHDBC(distances.euclidean, minpts=5, rng_seed=4)
+        huge = FISHDBC(distances.euclidean, minpts=5, rng_seed=4)
+        for row in X:
+            small.add(row)
+            huge.add(row * scale)
+        assert huge.n == 200
+        assert huge.distance_calls == small.distance_calls
+        assert huge.forest_edges() == [(a, b, w * scale) for a, b, w in small.forest_edges()]
+        assert huge.cluster().labels.tolist() == small.cluster().labels.tolist()
 
 
 class TestJaroWinklerKernel:
@@ -491,7 +553,7 @@ class TestJaroWinklerKernel:
             engine = FISHDBC(distance, rng_seed=seed, record_pairs=True)
             for s in strings:
                 engine.add(s)
-            states.append(TestBatchedTap.state(engine))
+            states.append(TestPreparedTap.state(engine))
         assert states[0] == states[1]
 
 
