@@ -130,6 +130,37 @@ class TestEuclidean:
             distances.euclidean([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+class TestEuclideanMany:
+    """One payload prepared once and measured against many prepared ones,
+    as an insertion measures the new item against stored items: every value
+    equals the scalar ``euclidean`` bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 100, 1000])
+    def test_equals_scalar_bit_for_bit(self, rng, dim):
+        prep, kernel = distances.prepare_euclidean, distances.euclidean_kernel
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.normal(size=dim) * scale
+            bs = list(rng.normal(size=(40, dim)) * scale)
+            want = [distances.euclidean(a, b).hex() for b in bs]
+            pa = prep(a)
+            pbs = [prep(b) for b in bs]
+            assert [kernel(pa, pb).hex() for pb in pbs] == want
+            # the same values with the arguments swapped
+            assert [kernel(pb, pa).hex() for pb in pbs] == want
+            assert [distances.euclidean(b, a).hex() for b in bs] == want
+            # reusing the prepared payloads changes nothing
+            assert [kernel(pa, pb).hex() for pb in pbs] == want
+
+    def test_list_payloads(self, rng):
+        prep, kernel = distances.prepare_euclidean, distances.euclidean_kernel
+        a = rng.random(7).tolist()
+        bs = rng.random((12, 7)).tolist()
+        pa = prep(a)
+        got = [kernel(pa, prep(b)) for b in bs]
+        assert got == [distances.euclidean(a, b) for b in bs]
+        assert got == [distances.euclidean(np.array(a), np.array(b)) for b in bs]
+
+
 def float_payloads(rng, dim, scale):
     """Two vectors of ``dim`` coordinates as float64, list, float32 and
     int payloads."""
