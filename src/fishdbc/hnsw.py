@@ -31,7 +31,11 @@ generation drops pairs before their next use, and a longer one holds more
 memory for few more hits.
 
 The search evaluates a node's unvisited neighbors one call each, in
-neighbor order, as hnswlib and Malkov & Yashunin's Alg. 2 do.
+neighbor order, as hnswlib and Malkov & Yashunin's Alg. 2 do. One
+insertion's memo and served pairs live in a ``_Recorder``. The search, which
+makes most of the calls, reads and writes the memo inline, and the
+heuristic reads the cache and writes ``served`` inline; only the entry
+point's call and the heuristic's misses go through ``_Recorder.__call__``.
 """
 
 import heapq
@@ -47,16 +51,18 @@ _EMPTY = {}
 
 
 class _Recorder:
-    """Wraps the distance function for one insertion; memoizes, validates
-    and taps calls.
+    """One insertion's distance state: the memo of its real calls and the
+    pairs of the index's cache it served.
 
-    The recorder owns the distance contract on its side: every value it
-    returns is finite and >= 0, or ``_reject`` raises. A pair already
-    evaluated in this insertion is answered from the memo, and only a real
-    call to ``fn`` writes it, so the memo holds one entry, and yields one
-    triple, per real call. ``cached`` also reads the index's pair cache
-    (``recent``, ``older``) and collects the pairs it serves in ``served``,
-    which only the insertion's commit writes back.
+    Every value the recorder holds is finite and >= 0, or ``_reject``
+    raises. A pair already evaluated in this insertion is answered from
+    ``memo``, and only a real call to ``fn`` writes it, so the memo holds
+    one entry, and yields one triple, per real call. ``__call__`` is the
+    path for the entry point and the selection heuristic's misses;
+    ``Hnsw._beam_search`` reads and writes ``memo`` inline, and
+    ``Hnsw._select_heuristic`` reads the pair cache (``recent``, ``older``)
+    inline and collects the pairs it serves in ``served``, which only the
+    insertion's commit writes back.
     """
 
     __slots__ = ("fn", "items", "memo", "recent", "older", "served")
@@ -78,23 +84,6 @@ class _Recorder:
         if not 0.0 <= v < math.inf:  # catches NaN, negatives and inf
             _reject(a, b, v)
         self.memo[key] = v
-        return v
-
-    def cached(self, a, b):
-        """``self(a, b)`` for a pair of existing items, read from the pair
-        cache (``recent``, then ``older``) when it holds the pair.
-
-        A cache hit makes no call and yields no triple: an earlier
-        insertion reported the pair. Every pair served here, hit or
-        evaluated, is collected in ``served`` for the insertion's commit.
-        """
-        packed = a << 32 | b if a < b else b << 32 | a
-        v = self.recent.get(packed)
-        if v is None:
-            v = self.older.get(packed)
-            if v is None:
-                v = self(a, b)
-        self.served[packed] = v
         return v
 
     def finish(self):
@@ -229,26 +218,37 @@ class Hnsw:
         """Best-first search keeping the ef closest nodes found.
 
         ``entry_points`` is a heap of (-dist, node); the same representation
-        is returned.
+        is returned. A fresh neighbor's distance is read from ``rec.memo``,
+        or evaluated, checked and written there.
         """
+        heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        inf = math.inf
+        memo, fn, items = rec.memo, rec.fn, rec.items
+        item_x = items[x]
         candidates = [(-nd, node) for nd, node in entry_points]
         heapq.heapify(candidates)
         visited = set(node for _, node in entry_points)
         while candidates:
-            dist, node = heapq.heappop(candidates)
+            dist, node = heappop(candidates)
             worst = -entry_points[0][0]
             if dist > worst:
                 break
             fresh = [nbr for nbr in layer[node] if nbr not in visited]
             visited.update(fresh)
             for nbr in fresh:
-                d = rec(x, nbr)
+                key = (x, nbr) if x < nbr else (nbr, x)
+                d = memo.get(key)
+                if d is None:
+                    d = float(fn(item_x, items[nbr]))
+                    if not 0.0 <= d < inf:  # catches NaN, negatives and inf
+                        _reject(x, nbr, d)
+                    memo[key] = d
                 if len(entry_points) < ef:
-                    heapq.heappush(candidates, (d, nbr))
-                    heapq.heappush(entry_points, (-d, nbr))
+                    heappush(candidates, (d, nbr))
+                    heappush(entry_points, (-d, nbr))
                 elif d < worst:
-                    heapq.heappush(candidates, (d, nbr))
-                    heapq.heapreplace(entry_points, (-d, nbr))
+                    heappush(candidates, (d, nbr))
+                    heapreplace(entry_points, (-d, nbr))
                     worst = -entry_points[0][0]
         return entry_points
 
@@ -260,12 +260,14 @@ class Hnsw:
         kept subset (same representation) is returned, and when it keeps
         every candidate, that is ``candidates`` itself. A candidate-to-kept
         distance the layer-0 links, the neighbor sets or the pair cache
-        hold is read, not evaluated.
+        hold is read, not evaluated. Every pair taken from the pair cache
+        or evaluated is collected in ``rec.served`` for the commit.
         """
         if len(candidates) <= cap:
             return candidates
         layer0 = self._layers[0]
         near = self._neighbor_dists
+        recent, older, served = rec.recent, rec.older, rec.served
         kept = []
         for d_c, c in candidates:
             if len(kept) >= cap:
@@ -280,7 +282,13 @@ class Hnsw:
                 if d is None:
                     d = near.get(k, _EMPTY).get(c)
                 if d is None:
-                    d = rec.cached(c, k)
+                    key = c << 32 | k if c < k else k << 32 | c
+                    d = recent.get(key)
+                    if d is None:
+                        d = older.get(key)
+                        if d is None:
+                            d = rec(c, k)
+                    served[key] = d
                 if d < d_c:
                     good = False
                     break

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -60,12 +61,10 @@ class TestInsert:
         assert raw == 1
         assert triples == [(0, 1, 5.0)]
 
-    @pytest.mark.parametrize("distance", [euclidean, lambda a, b: euclidean(a, b)],
-                             ids=["batched", "scalar"])
-    def test_returns_triples_and_their_count(self, rng, distance):
+    def test_returns_triples_and_their_count(self, rng):
         # The engine counts distance calls, and a tracer unpacks the pair.
         items = [rng.random(4) for _ in range(200)]
-        idx = make_index(items, distance=distance)
+        idx = make_index(items)
         for i in range(200):
             result = idx.insert(i)
             assert len(result) == 2 and result[1] == len(result[0])
@@ -406,6 +405,43 @@ class TestAtomicity:
         ]
         assert got == layers_before
 
+    def test_failed_heuristic_miss_names_the_pair_and_changes_nothing(self, rng, recorders):
+        # A pair of two existing items reaches the distance only through
+        # the selection heuristic's miss path. Payloads carry their id.
+        log = []
+
+        def logging_distance(a, b):
+            log.append((a[0], b[0]))
+            return euclidean(a[1], b[1])
+
+        items = list(enumerate(rng.random((200, 2))))
+        probe = make_index(items, distance=logging_distance, seed=11)
+        for x in range(200):
+            log.clear()
+            want = probe.insert(x)
+            misses = [(a, b) for a, b in log if x not in (a, b)]
+            if len(misses) >= 2:
+                break
+        a, b = misses[-1]  # earlier misses were served before it fails
+        idx = make_index(items, distance=logging_distance, seed=11)
+        for i in range(x):
+            idx.insert(i)
+        before = (snapshot(idx), idx._entry, idx._rng.bit_generator.state,
+                  list(idx._recent.items()), list(idx._older.items()))
+
+        def fails_on_the_pair(p, q):
+            return math.nan if {p[0], q[0]} == {a, b} else euclidean(p[1], q[1])
+
+        idx._distance = fails_on_the_pair
+        with pytest.raises(DistanceError) as exc:
+            idx.insert(x)
+        assert str(exc.value) == f"distance({a}, {b}) returned nan"
+        assert recorders[-1].served  # pairs were collected, not committed
+        assert (snapshot(idx), idx._entry, idx._rng.bit_generator.state,
+                list(idx._recent.items()), list(idx._older.items())) == before
+        idx._distance = logging_distance
+        assert idx.insert(x) == want
+
     def test_negative_distance_rejected(self):
         items = [np.zeros(2), np.ones(2)]
         idx = make_index(items, distance=lambda a, b: -1.0)
@@ -516,3 +552,110 @@ class TestInPlaceCommit:
             assert ordered_layers(idx) == ordered_layers(ref)
         assert len(idx._layers) > 1
         assert ref.removed > 0  # full neighbors were pruned
+
+
+def cached(rec, a, b):
+    """``_Recorder.cached`` as it was: ``rec(a, b)`` for a pair of existing
+    items, read from the pair cache (``recent``, then ``older``) when it
+    holds the pair, and collected in ``served`` either way."""
+    packed = a << 32 | b if a < b else b << 32 | a
+    v = rec.recent.get(packed)
+    if v is None:
+        v = rec.older.get(packed)
+        if v is None:
+            v = rec(a, b)
+    rec.served[packed] = v
+    return v
+
+
+class RecorderHnsw(Hnsw):
+    """The index as it was when the search and the heuristic went through
+    the recorder for every distance. The inline lookups must give the very
+    same triples, layers and pair cache."""
+
+    def _beam_search(self, x, entry_points, layer, ef, rec):
+        candidates = [(-nd, node) for nd, node in entry_points]
+        heapq.heapify(candidates)
+        visited = set(node for _, node in entry_points)
+        while candidates:
+            dist, node = heapq.heappop(candidates)
+            worst = -entry_points[0][0]
+            if dist > worst:
+                break
+            fresh = [nbr for nbr in layer[node] if nbr not in visited]
+            visited.update(fresh)
+            for nbr in fresh:
+                d = rec(x, nbr)
+                if len(entry_points) < ef:
+                    heapq.heappush(candidates, (d, nbr))
+                    heapq.heappush(entry_points, (-d, nbr))
+                elif d < worst:
+                    heapq.heappush(candidates, (d, nbr))
+                    heapq.heapreplace(entry_points, (-d, nbr))
+                    worst = -entry_points[0][0]
+        return entry_points
+
+    def _select_heuristic(self, candidates, cap, rec):
+        if len(candidates) <= cap:
+            return candidates
+        layer0 = self._layers[0]
+        near = self._neighbor_dists
+        kept = []
+        for d_c, c in candidates:
+            if len(kept) >= cap:
+                break
+            adj_c = layer0.get(c, {})
+            near_c = near.get(c, {})
+            good = True
+            for _, k in kept:
+                d = adj_c.get(k)
+                if d is None:
+                    d = near_c.get(k)
+                if d is None:
+                    d = near.get(k, {}).get(c)
+                if d is None:
+                    d = cached(rec, c, k)
+                if d < d_c:
+                    good = False
+                    break
+            if good:
+                kept.append((d_c, c))
+        return kept
+
+
+def tap(idx):
+    """The list every later ``idx.insert`` output is appended to."""
+    outputs = []
+    insert = idx.insert
+
+    def tapped(x):
+        outputs.append(insert(x))
+        return outputs[-1]
+
+    idx.insert = tapped
+    return outputs
+
+
+class TestInlineRecorder:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("data", ["blobs", "strings"])
+    def test_same_as_calling_the_recorder(self, data, seed):
+        rng = np.random.default_rng(seed)
+        if data == "blobs":  # prepared payloads under euclidean's kernel
+            payloads, distance = list(generate_blobs(600, 10, rng=rng)[0]), euclidean
+        else:
+            payloads, distance = noisy_strings(300, rng), jaro_winkler
+        engine = FISHDBC(distance, minpts=5, rng_seed=seed)
+        ref = FISHDBC(distance, minpts=5, rng_seed=seed)
+        ref._hnsw.__class__ = RecorderHnsw
+        idx, ref_idx = engine._hnsw, ref._hnsw
+        got, want = tap(idx), tap(ref_idx)
+        for p in payloads:
+            engine.add(p)
+            ref.add(p)
+            assert got[-1] == want[-1]
+            assert ordered_layers(idx) == ordered_layers(ref_idx)
+            assert list(idx._recent.items()) == list(ref_idx._recent.items())
+            assert list(idx._older.items()) == list(ref_idx._older.items())
+        assert idx._older  # the cache rotated, so both generations were read
+        assert len(idx._layers) > 1
