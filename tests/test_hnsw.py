@@ -61,10 +61,13 @@ class TestInsert:
         assert raw == 1
         assert triples == [(0, 1, 5.0)]
 
-    def test_returns_triples_and_their_count(self, rng):
+    # "batched" is the built-in function object, "scalar" a plain wrapper of it.
+    @pytest.mark.parametrize("distance", [euclidean, lambda a, b: euclidean(a, b)],
+                             ids=["batched", "scalar"])
+    def test_returns_triples_and_their_count(self, rng, distance):
         # The engine counts distance calls, and a tracer unpacks the pair.
         items = [rng.random(4) for _ in range(200)]
-        idx = make_index(items)
+        idx = make_index(items, distance=distance)
         for i in range(200):
             result = idx.insert(i)
             assert len(result) == 2 and result[1] == len(result[0])
