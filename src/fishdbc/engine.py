@@ -7,18 +7,20 @@ edges of the mutual-reachability graph into a bounded buffer. The buffer is
 an append-only log: a pair pushed again is held again, and at the flush its
 lightest copy wins. When the log holds more than ``ALPHA * n`` raw entries,
 copies included, it is folded into the approximate minimum spanning forest
-with Filter-Kruskal. Clustering at any point flushes the buffer and extracts
-the hierarchy from the forest.
+with Filter-Kruskal, whose union-find sweep also emits the forest's
+single-linkage dendrogram. Clustering at any point flushes the buffer and
+condenses that dendrogram; only when items were added with nothing to fold
+in (the first item) is the dendrogram rebuilt from the forest.
 
-``add()`` appends each triple and each eviction with its raw distance and
-marks the existing rows whose neighbor set changed as dirty. A pair's
-weight max(d, core[a], core[b]) only falls, and only while a row whose core
-falls holds the pair, so the flush first appends every pair a dirty row
-holds, then weighs the whole log at once with the current core distances.
-A forest edge whose weight has since fallen is re-supplied that way, by the
-dirty row that holds it or by its eviction, and its lighter copy wins. So
-the forest is a true minimum spanning forest of the reachability graph
-restricted to computed pairs.
+``add()`` appends each triple and each eviction with its raw distance, one
+``push`` each, and marks the existing rows whose neighbor set changed as
+dirty. A pair's weight max(d, core[a], core[b]) only falls, and only while
+a row whose core falls holds the pair, so the flush first appends every
+pair a dirty row holds, in one bulk ``extend``, then weighs the whole log
+at once with the current core distances. A forest edge whose weight has
+since fallen is re-supplied that way, by the dirty row that holds it or by
+its eviction, and its lighter copy wins. So the forest is a true minimum
+spanning forest of the reachability graph restricted to computed pairs.
 """
 
 import numpy as np
@@ -178,13 +180,20 @@ class FISHDBC:
         dirty = self._dirty
         # Every pair a dirty row holds, at its raw distance: its weight may
         # have fallen since it was appended or joined the forest. Of two
-        # dirty rows that hold each other, only the smaller id's pushes it.
+        # dirty rows that hold each other, only the smaller id's appends it.
         dists = self._neighbors.dists
-        push = buf.push
+        keys = []
+        weights = []
         for y in dirty:
             for z, d in dists[y].items():
-                if not (z < y and z in dirty and y in dists[z]):
-                    push(y, z, d)
+                if z > y:
+                    keys.append((y << 32) | z)
+                elif z in dirty and y in dists[z]:
+                    continue
+                else:
+                    keys.append((z << 32) | y)
+                weights.append(d)
+        buf.extend(keys, weights)
         dirty.clear()
         if len(buf):
             n = len(self._items)
@@ -205,5 +214,10 @@ class FISHDBC:
         check_min_cluster_size(min_cluster_size)
         self.flush()
         n = len(self._items)
-        dend = build_dendrogram(self._msf.lo, self._msf.hi, self._msf.weight, n)
+        msf = self._msf
+        dend = msf.dendrogram
+        if dend is None or dend.n_points != n:
+            # Items came with nothing to flush: the forest is current, but
+            # its rows number their internal nodes from an older n.
+            dend = build_dendrogram(msf.lo, msf.hi, msf.weight, n)
         return extract_flat(condense(dend, min_cluster_size))

@@ -1,13 +1,16 @@
 """From a minimum spanning forest to hierarchical and flat clusterings.
 
-The pipeline: a single-linkage dendrogram built by a union-find sweep over
-ascending edges, a condensed tree that keeps only splits where both sides
-reach the minimum cluster size (smaller sides become per-point fall-out
-events), and a stability-maximizing flat selection with noise. The
-dendrogram reads the forest in the (weight, lo, hi) order the forest step
-sorted it in. The condensed tree's walk sums each cluster's stability as it
-records the cluster's fall-out events and split. The selection takes one
-pass up the cluster tree, adding each cluster's best selection into its
+The pipeline: a single-linkage dendrogram, a condensed tree that keeps only
+splits where both sides reach the minimum cluster size (smaller sides become
+per-point fall-out events), and a stability-maximizing flat selection with
+noise. The engine's dendrogram comes from the flush: the Kruskal sweep that
+keeps the forest's edges records their merge rows (``_accel.Merges``).
+``build_dendrogram`` makes the same rows with a separate union-find sweep
+over a finished forest in the (weight, lo, hi) order the forest step sorted
+it in; the oracle and the engine's first read use it. The condensed tree's
+breadth-first walk, over index-based lists, sums each cluster's stability
+as it records the cluster's fall-out events and split. The selection takes
+one pass up the cluster tree, adding each cluster's best selection into its
 parent's sum, and one pass down to settle flags and labels.
 
 Densities are expressed as lambda = 1 / edge weight (+inf for weight 0).
@@ -18,8 +21,6 @@ forest is a single tree, its root is that all-points root and is excluded
 from selection.
 """
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,6 @@ __all__ = [
     "extract_flat",
     "tree_to_dict",
 ]
-
-INF = math.inf
 
 
 @dataclass
@@ -134,7 +133,10 @@ def condense(dend, m_cs):
     sizes = [1] * n + dend.size.tolist()  # indexed by node id
     # A leaf is never big enough, since m_cs >= 2.
     big = [False] * n + (dend.size >= m_cs).tolist()
-    lams = [INF if w == 0.0 else 1.0 / w for w in dend.weight.tolist()]
+    # 1 / 0 is +inf, and so is 1 / w for a subnormal w; abs() makes a
+    # -0.0 weight +0.0, whose lambda is +inf too.
+    with np.errstate(divide="ignore", over="ignore"):
+        lams = np.divide(1.0, np.abs(dend.weight)).tolist()
     is_child = np.zeros(n + len(dend), dtype=bool)
     is_child[dend.left] = True
     is_child[dend.right] = True
@@ -180,28 +182,46 @@ def condense(dend, m_cs):
         if multi and not big[root]:
             shed(root, -1, 0.0, 0.0)
             continue
-        todo = deque([(root, new_cluster(-1, 0.0, root))])
-        while todo:
-            node, cid = todo.popleft()
+        # Breadth first: the loop runs on over the nodes it appends.
+        todo = [root]
+        owner = [new_cluster(-1, 0.0, root)]
+        for k, node in enumerate(todo):
+            cid = owner[k]
             i = node - n
             lam = lams[i]
             l, r = left[i], right[i]
             death[cid] = lam
-            span = _span(lam, birth[cid])
-            if big[l] and big[r]:
-                stab[cid] += sizes[l] * span
-                stab[cid] += sizes[r] * span
-                todo.append((l, new_cluster(cid, lam, l)))
-                todo.append((r, new_cluster(cid, lam, r)))
-                continue
-            for child in (l, r):
-                if big[child]:
-                    todo.append((child, cid))
-                elif child < n:
-                    events.append((child, cid, lam))
-                    stab[cid] += span
-                else:
-                    shed(child, cid, lam, span)
+            # inf - inf would be NaN; a point leaving at its cluster's
+            # infinite birth density contributes nothing.
+            born = birth[cid]
+            span = 0.0 if lam == born else lam - born
+            if big[l]:
+                if big[r]:
+                    stab[cid] += sizes[l] * span
+                    stab[cid] += sizes[r] * span
+                    todo.append(l)
+                    owner.append(new_cluster(cid, lam, l))
+                    todo.append(r)
+                    owner.append(new_cluster(cid, lam, r))
+                    continue
+                todo.append(l)
+                owner.append(cid)
+                small = r
+            elif big[r]:
+                todo.append(r)
+                owner.append(cid)
+                small = l
+            else:
+                # Both sides fall out and the cluster ends, left first.
+                shed(l, cid, lam, span)
+                small = r
+            # The small side's points fall out here, after any the left
+            # side shed; a big side only joins the queue.
+            if small < n:
+                events.append((small, cid, lam))
+                stab[cid] += span
+            else:
+                shed(small, cid, lam, span)
 
     clusters = [
         ClusterRecord(cid, *rec)
@@ -210,14 +230,6 @@ def condense(dend, m_cs):
     return CondensedTree(
         n_points=n, clusters=clusters, events=events, single_root=not multi
     )
-
-
-def _span(lam, birth):
-    # inf - inf would be NaN; a point leaving at its cluster's infinite birth
-    # density contributes nothing.
-    if lam == birth:
-        return 0.0
-    return lam - birth
 
 
 def extract_flat(tree):

@@ -1,10 +1,13 @@
 """Approximate minimum spanning forest maintenance.
 
 Candidate edges are appended to a bounded buffer with their raw
-distances, copies of a pair included. A flush first weighs them with the
-current core distances (``CandidateBuffer.weigh``), then runs
-``spanning_forest`` (Filter-Kruskal) over the current forest plus the
-buffer, where each pair's lightest copy wins.
+distances, copies of a pair included: one ``push`` per entry, or one
+``extend`` for many. A flush first weighs them with the current core
+distances (``CandidateBuffer.weigh``), then runs ``spanning_forest``
+(Filter-Kruskal) over the current forest plus the buffer, where each
+pair's lightest copy wins. Its Kruskal sweep also records the
+single-linkage merge rows of the edges it keeps, so the flush leaves the
+forest's dendrogram on ``Msf`` and a read needs no second sweep.
 Flushing is safe at any point between insertions: a minimum spanning forest
 can be built incrementally from edge batches without changing the final
 result.
@@ -15,6 +18,7 @@ from array import array
 import numpy as np
 
 from . import _accel
+from .hierarchy import Dendrogram
 
 __all__ = ["CandidateBuffer", "Msf", "spanning_forest", "update_msf"]
 
@@ -24,9 +28,10 @@ _MASK = (1 << _SHIFT) - 1
 
 class CandidateBuffer:
     """Append-only log of candidate edges: one packed ``lo << 32 | hi`` key
-    and one weight per push, in two typed arrays (16 B an entry). The
-    engine pushes raw distances; they become mutual reachability weights
-    only when ``weigh`` runs at the flush.
+    and one weight per entry, in two typed arrays (16 B an entry). ``add``
+    pushes its entries one at a time and the flush appends the dirty rows'
+    in bulk (``extend``), all as raw distances; they become mutual
+    reachability weights only when ``weigh`` runs at the flush.
 
     A pair pushed again is appended again, not merged; its lightest copy
     is the one that counts, because the flush's Kruskal sweep meets it
@@ -34,9 +39,10 @@ class CandidateBuffer:
     copies included, and that is what the flush threshold ``ALPHA * n``
     bounds. +inf weights are accepted and dropped at the flush.
 
-    ``push`` checks no values: each is a distance the HNSW's recorder
-    validated (finite, >= 0), between two distinct items, as are those the
-    neighbor sets hold from it. The ends may come in either order.
+    ``push`` and ``extend`` check no values: each is a distance the HNSW's
+    recorder validated (finite, >= 0), between two distinct items, as are
+    those the neighbor sets hold from it. ``push`` takes the ends in
+    either order.
     """
 
     __slots__ = ("_keys", "_weights")
@@ -52,6 +58,13 @@ class CandidateBuffer:
             a, b = b, a
         self._keys.append((a << _SHIFT) | b)
         self._weights.append(w)
+
+    def extend(self, keys, weights):
+        """Append entries from a list of packed ``lo << 32 | hi`` keys, with
+        lo < hi, and a list of their raw distances, in order; the same as
+        one ``push`` per entry."""
+        self._keys.fromlist(keys)
+        self._weights.fromlist(weights)
 
     def clear(self):
         # Fresh arrays, not resized old ones: a live numpy view of the old
@@ -77,12 +90,15 @@ class CandidateBuffer:
 
 
 class Msf:
-    """Current approximate minimum spanning forest as flat edge arrays."""
+    """Current approximate minimum spanning forest as flat edge arrays, and
+    its single-linkage ``dendrogram`` over the item count of the last
+    flush (None before the first)."""
 
     def __init__(self):
         self.lo = np.empty(0, dtype=np.int64)
         self.hi = np.empty(0, dtype=np.int64)
         self.weight = np.empty(0, dtype=np.float64)
+        self.dendrogram = None
 
     def __len__(self):
         return self.lo.shape[0]
@@ -94,7 +110,7 @@ class Msf:
         ]
 
 
-def spanning_forest(lo, hi, w, n):
+def spanning_forest(lo, hi, w, n, merges=None):
     """Minimum spanning forest of the edges (lo[k], hi[k], w[k]) over nodes
     0..n-1: the one forest step of the engine's flush and of the oracle.
 
@@ -109,6 +125,10 @@ def spanning_forest(lo, hi, w, n):
     are dropped unsorted. Kruskal would reject every dropped edge, and the
     chunks are swept in weight order, so the result is that of one sweep
     over all edges. It stops once n-1 edges are kept.
+
+    The kept edges arrive in merge order, so the sweep's single-linkage
+    merge rows describe the returned forest; pass a fresh
+    ``_accel.Merges(n)`` as ``merges`` to keep them.
     """
     finite = np.isfinite(w)
     if not finite.all():
@@ -128,7 +148,7 @@ def spanning_forest(lo, hi, w, n):
         order = np.argsort(clo << _SHIFT | chi)
         order = order[np.argsort(cw[order], kind="stable")]
         clo, chi, cw = clo[order], chi[order], cw[order]
-        keep = _accel.kruskal_mask(clo, chi, parent)
+        keep = _accel.kruskal_mask(clo, chi, parent, merges)
         parts.append((clo[keep], chi[keep], cw[keep]))
         kept += len(parts[-1][0])
         if len(w) <= n:
@@ -158,18 +178,22 @@ def _roots(parent):
 
 def update_msf(msf, buf, n):
     """Replace msf with a minimum spanning forest of msf's edges plus the
-    buffer's, then empty the buffer.
+    buffer's, and its dendrogram with the one the sweep emits, over n
+    items; empty the buffer.
 
     A pair's copies need no reduction: the sweep orders by (w, lo, hi), so
     it keeps a pair's lightest copy first and rejects the later ones, whose
     ends are then joined. The buffer's storage is released before the sweep.
     """
     edges = _joined_edges(msf, buf)
+    merges = _accel.Merges(n)
     # Popped rather than unpacked, so that no name here holds the joined
     # arrays and the filter frees each one as it drops edges.
     msf.lo, msf.hi, msf.weight = spanning_forest(
-        edges.pop(0), edges.pop(0), edges.pop(0), n
+        edges.pop(0), edges.pop(0), edges.pop(0), n, merges
     )
+    left, right, size = merges.arrays()
+    msf.dendrogram = Dendrogram(n, left, right, msf.weight, size)
 
 
 def _joined_edges(msf, buf):

@@ -106,6 +106,23 @@ class TestKruskalKernel:
                 assert np.array_equal(got, want)
                 assert parent == ref
 
+    def test_shared_merges_match_linkage_merges(self, rng):
+        """Chunk after chunk into one union-find and one ``Merges``, the
+        rows of the kept edges are ``linkage_merges`` over those edges."""
+        for _ in range(20):
+            n = int(rng.integers(5, 60))
+            m = int(rng.integers(2, n * (n - 1) // 2 + 1))
+            lo, hi = self.rand_edges(rng, n, m)
+            cuts = np.sort(rng.choice(np.arange(1, m), size=min(3, m - 1), replace=False))
+            parent, merges = list(range(n)), _accel.Merges(n)
+            keep = np.concatenate([
+                _accel.kruskal_mask(a.copy(), b.copy(), parent, merges)
+                for a, b in zip(np.split(lo, cuts), np.split(hi, cuts))
+            ])
+            want = _accel.linkage_merges(lo[keep], hi[keep], n)
+            for g, w in zip(merges.arrays(), want):
+                assert np.array_equal(g, w)
+
     def test_spanning_tree_size(self, rng):
         n = 20
         lo, hi = self.rand_edges(rng, n, n * (n - 1) // 2)

@@ -12,10 +12,12 @@ import pytest
 import fishdbc
 from helpers import (buffered_entries, buffered_weight, canonical_labels, noisy_strings,
                      two_blob_points)
-from fishdbc import FISHDBC, DistanceError, dataio, distances
+from fishdbc import FISHDBC, DistanceError, _accel, dataio, distances
+from fishdbc import engine as engine_mod
 from fishdbc import oracle
 from fishdbc.engine import ALPHA
-from fishdbc.msf import spanning_forest
+from fishdbc.hierarchy import build_dendrogram, condense, extract_flat, tree_to_dict
+from fishdbc.msf import CandidateBuffer, spanning_forest
 from fishdbc.neighbors import NeighborStore
 from test_distances import loop_jaro_winkler
 
@@ -755,6 +757,159 @@ class TestFlushSchedule:
                               e.distance_calls, e.pair_log())
                              for e in (eager, lazy))
                 assert got == want
+
+
+def rebuilt_cluster(engine, min_cluster_size=None):
+    """What ``cluster()`` returned before the flush emitted the dendrogram:
+    a separate ``build_dendrogram`` sweep over the current forest."""
+    if min_cluster_size is None:
+        min_cluster_size = engine._neighbors.minpts
+    msf = engine._msf
+    dend = build_dendrogram(msf.lo, msf.hi, msf.weight, engine.n)
+    return extract_flat(condense(dend, min_cluster_size))
+
+
+def same_result(got, want):
+    """Labels and the whole condensed tree, floats compared by their bits."""
+    assert got.labels.tolist() == want.labels.tolist()
+    assert repr(tree_to_dict(got.condensed)) == repr(tree_to_dict(want.condensed))
+
+
+class TestReadPath:
+    """A read condenses the dendrogram that the flush's Kruskal sweep
+    emitted; ``build_dendrogram`` runs only when items came with nothing to
+    flush. Each result is the one a separate sweep over the forest gives."""
+
+    @pytest.mark.parametrize(
+        "distance, items",
+        [(distances.euclidean, blob_rows), (distances.jaro_winkler, string_items)],
+        ids=["blobs", "strings"],
+    )
+    def test_every_read_sees_the_emitted_dendrogram(self, distance, items):
+        engine = FISHDBC(distance, rng_seed=1)
+        reads = 0
+        for k, item in enumerate(items(1), 1):
+            engine.add(item)
+            if k % 50 == 0:
+                result = engine.cluster()
+                msf = engine._msf
+                want = build_dendrogram(msf.lo, msf.hi, msf.weight, k)
+                got = msf.dendrogram
+                assert got.n_points == k
+                for field in ("left", "right", "size", "weight"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+                same_result(result, rebuilt_cluster(engine))
+                reads += 1
+        assert reads >= 8
+
+    def test_items_added_with_nothing_to_flush_rebuild(self, rng):
+        engine = FISHDBC(distances.euclidean, minpts=3)
+        engine.add(np.zeros(2))
+        assert engine._msf.dendrogram is None
+        same_result(engine.cluster(), rebuilt_cluster(engine))
+        for _ in range(30):
+            engine.add(rng.random(2))
+        engine.flush()
+        # Only the first add appends nothing; drop an add's entries to get
+        # a forest that is current but whose rows count one item less.
+        engine.add(rng.random(2))
+        engine._buf.clear()
+        engine._dirty.clear()
+        assert engine._msf.dendrogram.n_points == engine.n - 1
+        result = engine.cluster()
+        same_result(result, rebuilt_cluster(engine))
+        assert result.labels[-1] == -1
+
+    def test_explicit_flush_then_reads_at_several_sizes(self, rng):
+        engine = FISHDBC(distances.euclidean, minpts=4, rng_seed=2)
+        for row in two_blob_points(rng, per_blob=80):
+            engine.add(row)
+        engine.flush()
+        assert len(engine._buf) == 0
+        for m_cs in (None, 2, 25, 4):
+            same_result(engine.cluster(m_cs), rebuilt_cluster(engine, m_cs))
+
+    def test_a_read_after_a_flush_runs_no_second_sweep(self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("linkage_merges ran on a read after a flush")
+
+        engine = FISHDBC(distances.euclidean, minpts=4, rng_seed=2)
+        engine.add(rng.random(2))
+        for _ in range(120):
+            engine.add(rng.random(2))
+            if engine.n % 40 == 0:
+                engine.flush()
+                monkeypatch.setattr(_accel, "linkage_merges", forbidden)
+                engine.cluster()
+                engine.cluster(2)
+                monkeypatch.undo()
+        # The guard is live: the fallback path would trip it.
+        fresh = FISHDBC(distances.euclidean)
+        fresh.add(np.zeros(2))
+        monkeypatch.setattr(_accel, "linkage_merges", forbidden)
+        with pytest.raises(AssertionError, match="linkage_merges"):
+            fresh.cluster()
+
+
+class PushLoopFISHDBC(FISHDBC):
+    """The former ``flush``, kept as the reference for FISHDBC.flush: every
+    pair a dirty row holds is appended by its own ``push`` call."""
+
+    def flush(self):
+        buf = self._buf
+        dirty = self._dirty
+        dists = self._neighbors.dists
+        push = buf.push
+        for y in dirty:
+            for z, d in dists[y].items():
+                if not (z < y and z in dirty and y in dists[z]):
+                    push(y, z, d)
+        dirty.clear()
+        if len(buf):
+            n = len(self._items)
+            buf.weigh(np.fromiter(self._neighbors.core.values(), float, n))
+            engine_mod.update_msf(self._msf, buf, n)
+
+
+class TestBulkResupply:
+    """The flush appends the dirty rows' pairs with one ``extend``; the log
+    a flush weighs holds the same keys and raw distances, in the same order,
+    as the per-pair ``push`` loop's."""
+
+    @pytest.mark.parametrize(
+        "distance, items",
+        [(distances.euclidean, blob_rows), (distances.jaro_winkler, string_items)],
+        ids=["blobs", "strings"],
+    )
+    def test_log_before_each_flush_matches_the_push_loop(self, distance, items):
+        logs = []
+
+        class RecordingBuffer(CandidateBuffer):
+            def weigh(self, core):
+                keys, w = self._views()
+                self.log.append((keys.copy(), w.copy()))
+                del keys, w
+                super().weigh(core)
+
+        engines = []
+        for cls in (FISHDBC, PushLoopFISHDBC):
+            engine = cls(distance, rng_seed=1)
+            engine._buf = RecordingBuffer()
+            engine._buf.log = []
+            logs.append(engine._buf.log)
+            engines.append(engine)
+        results = [[], []]
+        for k, item in enumerate(items(1), 1):
+            for engine, out in zip(engines, results):
+                engine.add(item)
+                if k % 50 == 0:
+                    out.append(engine.cluster().labels.tolist())
+        got, want = logs
+        assert len(got) == len(want) > len(results[0])
+        for (gk, gw), (wk, ww) in zip(got, want):
+            assert np.array_equal(gk, wk) and np.array_equal(gw, ww)
+        assert results[0] == results[1]
+        assert engines[0].forest_edges() == engines[1].forest_edges()
 
 
 def test_no_heavy_runtime_imports():

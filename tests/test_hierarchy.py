@@ -264,6 +264,16 @@ class TestCondense:
         assert len(tree.events) == 10
         assert all(cid == tree.clusters[0].id for _, cid, _ in tree.events)
 
+    def test_lambda_is_one_over_weight_and_inf_at_zero(self):
+        # A chain whose merges weigh 0, -0.0, a subnormal and 0.5: the
+        # first three give lambda +inf, with no RuntimeWarning (Tier-1
+        # makes one an error), and the last 1 / 0.5.
+        lo, hi, w = chain_edges([0.0, -0.0, 5e-324, 0.5])
+        tree = condense(dendrogram(lo, hi, w, 5), 2)
+        lams = sorted(lam for _, _, lam in tree.events)
+        assert lams == [2.0] + [math.inf] * 4
+        assert tree.clusters[0].death_lambda == math.inf
+
     def test_min_mcs_bound(self):
         lo, hi, w = chain_edges([1.0])
         d = dendrogram(lo, hi, w, 2)

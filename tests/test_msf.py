@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import buffered_entries, buffered_weight
+from fishdbc import _accel
+from fishdbc.hierarchy import build_dendrogram
 from fishdbc.msf import CandidateBuffer, Msf, spanning_forest, update_msf
 
 
@@ -380,3 +382,66 @@ class TestUpdateMsf:
         update_msf(msf, buf, 3)
         weights = {(lo, hi): w for lo, hi, w in msf.edges()}
         assert weights[(0, 1)] == 2.0
+
+
+class TestEmittedDendrogram:
+    """A flush leaves on ``Msf`` the dendrogram its Kruskal sweep recorded,
+    equal, array for array, to ``build_dendrogram``'s separate sweep over
+    the forest it kept."""
+
+    @staticmethod
+    def assert_matches_build_dendrogram(msf, n):
+        got = msf.dendrogram
+        want = build_dendrogram(msf.lo, msf.hi, msf.weight, n)
+        assert got.n_points == n
+        for field in ("left", "right", "size", "weight"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+    def test_random_edge_sets_over_several_chunks(self, rng, monkeypatch):
+        # m >> n, so Filter-Kruskal sweeps several chunks into one
+        # union-find. Ends are drawn within one of up to 3 residue classes,
+        # which leaves several components; every third trial's weights are
+        # small integers, so they tie and are often 0.
+        chunks = []
+        sweep = _accel.kruskal_mask
+
+        def counting(*args):
+            chunks[-1] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(_accel, "kruskal_mask", counting)
+        seen = {"chunks": 0, "components": 0, "zero": 0}
+        for trial in range(60):
+            n = int(rng.integers(2, 50))
+            groups = int(rng.integers(1, 4))
+            m = int(rng.integers(5 * n, 20 * n))
+            a = rng.integers(0, n, size=m)
+            b = rng.integers(0, n, size=m)
+            ok = (a != b) & (a % groups == b % groups)
+            a, b = a[ok], b[ok]
+            if trial % 3 == 0:
+                w = rng.integers(0, 4, size=a.size).astype(float)
+            else:
+                w = rng.random(a.size)
+                w[rng.random(a.size) < 0.05] = 0.0
+            msf, buf = Msf(), CandidateBuffer()
+            for part in np.array_split(np.arange(a.size), int(rng.integers(1, 4))):
+                for k in part:
+                    buf.push(int(a[k]), int(b[k]), float(w[k]))
+                chunks.append(0)
+                update_msf(msf, buf, n)
+                self.assert_matches_build_dendrogram(msf, n)
+                seen["chunks"] += chunks[-1] > 1
+            seen["components"] += len(msf) < n - 1
+            seen["zero"] += bool((msf.weight == 0.0).any())
+        assert min(seen.values()) > 5, seen
+
+    def test_one_item_and_empty_forests(self):
+        for n, edges in [(1, []), (4, []), (3, [(0, 2, math.inf)])]:
+            msf, buf = Msf(), CandidateBuffer()
+            for edge in edges:
+                buf.push(*edge)
+            update_msf(msf, buf, n)
+            assert len(msf) == len(msf.dendrogram) == 0
+            self.assert_matches_build_dendrogram(msf, n)
