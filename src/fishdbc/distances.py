@@ -5,13 +5,17 @@ evaluates to 0 on identical inputs. The engine relies on the symmetry: it
 reuses d(a, b) where it would otherwise compute d(b, a). No triangle inequality is assumed anywhere, so arbitrary
 user-supplied functions with the same contract are accepted by the engine.
 
-``PREPARED`` maps ``euclidean`` to ``(prepare, kernel)``: the engine
-converts each payload once with ``prepare`` and measures the results with
-``kernel``, and ``euclidean(a, b)`` is ``kernel(prepare(a), prepare(b))``.
+``PREPARED`` maps ``euclidean`` to ``euclidean_form``, which the engine
+calls on its first payload to fix the form of all of them: it returns
+``(prepare, kernel)``, and the engine converts each payload once with
+``prepare`` and measures the results with ``kernel``. Up to ``TUPLE_DIM``
+coordinates the kernel is ``math.dist`` itself, so a distance on the insert
+path runs no Python frame. ``euclidean(a, b)`` gives the same bits.
 """
 
 import math
 import sys
+from functools import partial
 from itertools import compress
 
 import numpy as np
@@ -21,7 +25,8 @@ __all__ = [
     "euclidean",
     "PREPARED",
     "prepare_euclidean",
-    "euclidean_kernel",
+    "euclidean_dot",
+    "euclidean_form",
     "TUPLE_DIM",
     "cosine",
     "jaccard",
@@ -46,7 +51,7 @@ TUPLE_DIM = 128
 
 
 def prepare_euclidean(a):
-    """``a`` as ``euclidean_kernel`` measures it fastest: a new tuple of
+    """``a`` as ``euclidean`` measures it fastest: a new tuple of
     floats for a vector of at most ``TUPLE_DIM`` coordinates, else a
     C-contiguous float64 array (``a`` itself if it is one). A scalar is a
     vector of one coordinate."""
@@ -56,13 +61,49 @@ def prepare_euclidean(a):
     return a
 
 
-def euclidean_kernel(a, b):
-    """Euclidean distance between two payloads, prepared or not: up to
+def euclidean_dot(a, b):
+    """``sqrt(dot(d, d))`` for ``d = a - b``: the Euclidean distance between
+    two float64 vectors of one length, unconverted and unchecked."""
+    d = a - b
+    return math.sqrt(d.dot(d))
+
+
+def _prepare_shaped(shape, a):
+    """``prepare_euclidean(a)`` for a vector ``a`` of ``shape``; any other
+    ``a`` raises ``ValueError("dimension mismatch: ...")``."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {shape}")
+    return tuple(a.tolist()) if len(a) <= TUPLE_DIM else a
+
+
+def euclidean_form(first):
+    """``(prepare, kernel)`` for Euclidean payloads of ``first``'s form.
+
+    ``prepare`` converts a payload as ``prepare_euclidean`` does and raises
+    ``ValueError("dimension mismatch: ...")`` unless the result has the
+    length of ``first``'s. ``kernel`` measures two results: ``math.dist``
+    itself for float tuples, ``euclidean_dot`` for arrays. Either gives the
+    bits ``euclidean`` gives. A scalar is a vector of one coordinate; a
+    ``first`` of two or more axes has no form and raises ``ValueError``.
+    """
+    shape = np.ascontiguousarray(first, dtype=np.float64).shape
+    if len(shape) != 1:
+        raise ValueError(f"euclidean payloads are vectors, got shape {shape}")
+    kernel = math.dist if shape[0] <= TUPLE_DIM else euclidean_dot
+    return partial(_prepare_shaped, shape), kernel
+
+
+def euclidean(a, b):
+    """Euclidean distance between two dense real vectors: up to
     ``TUPLE_DIM`` coordinates ``math.dist``, which scales and so neither
-    overflows nor underflows, above it ``sqrt(dot(d, d))``. The choice
-    follows the dimension, not the container, so both forms give the same
-    bits. Anything but two vectors of one length takes the numpy path,
-    which raises the error, such as a dimension mismatch."""
+    overflows nor underflows, above it ``euclidean_dot``. The choice
+    follows the dimension, not the container, so any two payloads give the
+    bits their ``euclidean_form`` gives. Anything but two vectors of one
+    length takes the numpy path, which raises the error, such as a
+    dimension mismatch."""
+    a = prepare_euclidean(a)
+    b = prepare_euclidean(b)
     try:
         if len(a) <= TUPLE_DIM:
             return math.dist(a, b)
@@ -72,13 +113,7 @@ def euclidean_kernel(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return math.sqrt(d.dot(d))
-
-
-def euclidean(a, b):
-    """Euclidean distance between two dense real vectors."""
-    return euclidean_kernel(prepare_euclidean(a), prepare_euclidean(b))
+    return euclidean_dot(a, b)
 
 
 def _normal(v):
@@ -229,8 +264,10 @@ BUILTIN = {
 }
 
 
-# Prepared forms of built-in distances, keyed by the distance function.
-PREPARED = {euclidean: (prepare_euclidean, euclidean_kernel)}
+# Prepared forms of built-in distances, keyed by the distance function: each
+# value takes the first payload and returns the (prepare, kernel) pair that
+# every payload of the engine then goes through.
+PREPARED = {euclidean: euclidean_form}
 
 
 def by_name(name):

@@ -48,9 +48,12 @@ class FISHDBC:
 
     The built-in ``euclidean`` (``distances.PREPARED``) has each payload
     converted once, in ``add``, and the HNSW measures the converted ones.
-    So the engine keeps its own copy of a Euclidean payload of up to
-    ``distances.TUPLE_DIM`` coordinates; a longer C-contiguous float64
-    array is kept as given, like any other distance's payload.
+    The first successful ``add`` fixes the form: up to
+    ``distances.TUPLE_DIM`` coordinates a tuple of floats, which the engine
+    keeps as its own copy and measures with ``math.dist`` itself, above it
+    a C-contiguous float64 array, kept as given if it is one. A later
+    payload of another dimension raises ``ValueError("dimension mismatch:
+    ...")`` from ``add`` before any state changes.
     """
 
     def __init__(self, distance, *, minpts=10, ef=20, rng_seed=0,
@@ -61,10 +64,13 @@ class FISHDBC:
         if not ef >= 1:
             raise ValueError(f"ef must be >= 1 (got {ef})")
         self._items = []
+        # A prepared distance's form is fixed by the first payload added:
+        # until then ``_prepare`` is None and ``_form`` makes it.
         try:
-            self._prepare, distance = PREPARED[distance]
+            self._form = PREPARED[distance]
         except (KeyError, TypeError):  # TypeError: an unhashable distance
-            self._prepare = None
+            self._form = None
+        self._prepare = None
         # The HNSW degree target is M = minpts. The HNSW reads distances
         # the neighbor sets hold instead of recomputing them.
         self._hnsw = Hnsw(
@@ -119,11 +125,18 @@ class FISHDBC:
         x = len(self._items)
         if self._prepare is not None:
             payload = self._prepare(payload)
+        elif self._form is not None:
+            # The first item's insertion calls no distance, so the HNSW
+            # takes the kernel now and first calls it on the next add.
+            self._prepare, self._hnsw.distance = self._form(payload)
+            payload = self._prepare(payload)
         self._items.append(payload)
         try:
             triples, calls = self._hnsw.insert(x)
         except BaseException:
             self._items.pop()
+            if x == 0:
+                self._prepare = None  # the form is the first added payload's
             raise
         self._distance_calls += calls
         ns = self._neighbors

@@ -105,15 +105,16 @@ class Hnsw:
 
     ``items`` is a shared sequence of payloads owned by the caller, in the
     form ``distance`` measures; the id of an item is its index in that
-    sequence. ``m`` is the per-layer degree
-    target and ``ef`` the construction beam width.
+    sequence. The caller may replace ``distance`` between insertions.
+    ``m`` is the per-layer degree target and ``ef`` the construction beam
+    width.
     ``neighbor_dists`` is the caller's ``{item: {neighbor: distance}}`` map
     of distances it already holds, read but never written here; every value
     in it must have come from a triple this index returned.
     """
 
     def __init__(self, distance, items, m, ef, rng, neighbor_dists):
-        self._distance = distance
+        self.distance = distance
         self._neighbor_dists = neighbor_dists
         self._items = items
         # Malkov & Yashunin's recommended settings: layer 0 holds up to
@@ -148,7 +149,7 @@ class Hnsw:
         # first insert.
         if self._layers and x in self._layers[0]:
             raise ValueError(f"item {x} already inserted")
-        rec = _Recorder(self._distance, self._items, self._recent, self._older)
+        rec = _Recorder(self.distance, self._items, self._recent, self._older)
         # A failed insertion must not spend its level draw: later levels,
         # and with them every later result, would depend on the failure.
         rng_state = self._rng.bit_generator.state

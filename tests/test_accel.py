@@ -46,7 +46,8 @@ def reference_sweep(lo, hi, parent):
 
 
 class TestEuclideanKernel:
-    """The Euclidean kernel lives in ``distances.euclidean_kernel``."""
+    """The Euclidean kernels live in ``distances``: ``math.dist`` and
+    ``euclidean_dot``, which ``euclidean`` picks between."""
 
     def test_matches_numpy(self, rng):
         for _ in range(50):

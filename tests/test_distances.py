@@ -137,10 +137,10 @@ class TestEuclideanMany:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 10, 100, 1000])
     def test_equals_scalar_bit_for_bit(self, rng, dim):
-        prep, kernel = distances.prepare_euclidean, distances.euclidean_kernel
         for scale in (1e-3, 1.0, 1e3):
             a = rng.normal(size=dim) * scale
             bs = list(rng.normal(size=(40, dim)) * scale)
+            prep, kernel = distances.euclidean_form(a)
             want = [distances.euclidean(a, b).hex() for b in bs]
             pa = prep(a)
             pbs = [prep(b) for b in bs]
@@ -152,8 +152,8 @@ class TestEuclideanMany:
             assert [kernel(pa, pb).hex() for pb in pbs] == want
 
     def test_list_payloads(self, rng):
-        prep, kernel = distances.prepare_euclidean, distances.euclidean_kernel
         a = rng.random(7).tolist()
+        prep, kernel = distances.euclidean_form(a)
         bs = rng.random((12, 7)).tolist()
         pa = prep(a)
         got = [kernel(pa, prep(b)) for b in bs]
@@ -177,21 +177,43 @@ class TestPreparedEuclidean:
     D = distances.TUPLE_DIM
 
     def test_registered(self):
-        assert distances.PREPARED == {
-            distances.euclidean: (distances.prepare_euclidean, distances.euclidean_kernel)
-        }
+        assert distances.PREPARED == {distances.euclidean: distances.euclidean_form}
+
+    @pytest.mark.parametrize("first, later", [
+        ([1.0] * 10, [1.0] * 12),
+        ([0.0] * D, [0.0] * (D + 1)),
+        ([0.0] * (D + 1), [0.0] * D),
+        (3.0, [1.0, 2.0]),
+        ([1.0, 2.0], 3.0),
+        ([1.0, 2.0], [[1.0], [2.0]]),
+    ])
+    def test_fixed_form_rejects_another_dimension(self, first, later):
+        prep, _ = distances.euclidean_form(first)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            prep(later)
+
+    def test_payload_of_two_axes_has_no_form(self):
+        with pytest.raises(ValueError, match="vectors"):
+            distances.euclidean_form(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("dim", [1, 2, 10, D, D + 1, 1000])
     def test_equals_kernel_on_prepared_payloads(self, rng, dim):
-        prep, kernel = distances.prepare_euclidean, distances.euclidean_kernel
+        # The form the first payload fixes converts as prepare_euclidean
+        # does and measures every later payload of its dimension as
+        # euclidean does, whatever container it came in.
         for scale in (1e-3, 1.0, 1e3):
             for a, b in float_payloads(rng, dim, scale):
+                prep, kernel = distances.euclidean_form(a)
+                assert kernel is (math.dist if dim <= self.D else distances.euclidean_dot)
+                for p in (a, b):
+                    want_p = distances.prepare_euclidean(p)
+                    assert type(prep(p)) is type(want_p)
+                    assert np.array_equal(prep(p), want_p)
                 want = distances.euclidean(a, b).hex()
                 assert kernel(prep(a), prep(b)).hex() == want
                 assert kernel(prep(b), prep(a)).hex() == want
                 assert distances.euclidean(b, a).hex() == want
-                # unprepared payloads reaching the kernel give the same bits
-                assert kernel(np.asarray(a, dtype=np.float64), b).hex() == want
+                assert distances.euclidean(np.asarray(a, dtype=np.float64), b).hex() == want
 
     def test_form_follows_dimension(self, rng):
         D = distances.TUPLE_DIM

@@ -160,13 +160,13 @@ class TestAdd:
                 return float("nan")
             return distances.euclidean(a, b)
 
-        engine._hnsw._distance = fragile
+        engine._hnsw.distance = fragile
         with pytest.raises(DistanceError):
             engine.add(bad)
         assert engine.n == n_before
         assert engine.distance_calls == calls_before
         assert len(engine._buf) == cand_before
-        engine._hnsw._distance = distances.euclidean
+        engine._hnsw.distance = distances.euclidean
         assert engine.add(rng.random(2)) == n_before
 
     def test_unpreparable_payload_is_atomic(self, rng):
@@ -428,9 +428,9 @@ class TestDistanceReuse:
 
 class TestPreparedTap:
     """The built-in Euclidean measures payloads the engine prepared once
-    with ``distances.euclidean_kernel``; a wrapped copy of it sees the
-    caller's payloads and prepares both on every call. Both must build the
-    same engine."""
+    with the kernel of their form (``distances.euclidean_form``); a
+    wrapped copy of it sees the caller's payloads and prepares both on
+    every call. Both must build the same engine."""
 
     @staticmethod
     def state(engine):
@@ -448,6 +448,36 @@ class TestPreparedTap:
                 engine.add(row)
             states.append(self.state(engine))
         assert states[0] == states[1]
+
+    @pytest.mark.parametrize("dim", [distances.TUPLE_DIM, distances.TUPLE_DIM + 1])
+    def test_either_kernel_builds_the_wrapped_engine(self, dim):
+        # The same comparison at the last dimension measured with math.dist
+        # and the first measured with euclidean_dot.
+        rng = np.random.default_rng(dim)
+        X, _ = dataio.generate_blobs(300, dim=dim, centers=5, rng=rng)
+        states = []
+        for distance in (distances.euclidean, lambda a, b: distances.euclidean(a, b)):
+            engine = FISHDBC(distance, rng_seed=dim, record_pairs=True)
+            for row in X:
+                engine.add(row)
+            states.append(self.state(engine))
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("dim", [1, 10, distances.TUPLE_DIM,
+                                     distances.TUPLE_DIM + 1, 1000])
+    def test_hnsw_calls_the_kernel_itself(self, rng, dim):
+        # No Python frame of fishdbc's runs per distance call up to
+        # TUPLE_DIM coordinates; a wrapped distance is called as given.
+        engine = FISHDBC(distances.euclidean, minpts=3)
+        wrapped = lambda a, b: distances.euclidean(a, b)
+        plain = FISHDBC(wrapped, minpts=3)
+        for row in rng.random((5, dim)):
+            engine.add(row)
+            plain.add(row)
+        kernel = math.dist if dim <= distances.TUPLE_DIM else distances.euclidean_dot
+        assert engine._hnsw.distance is kernel
+        assert plain._hnsw.distance is wrapped
+        assert all(isinstance(p, np.ndarray) for p in plain._items)
 
     def test_unhashable_distance_is_called_on_raw_payloads(self, rng):
         class Unhashable:
@@ -541,6 +571,57 @@ class TestPreparedTap:
         assert huge.distance_calls == small.distance_calls
         assert huge.forest_edges() == [(a, b, w * scale) for a, b, w in small.forest_edges()]
         assert huge.cluster().labels.tolist() == small.cluster().labels.tolist()
+
+
+class TestFirstAddFixesForm:
+    """The first successful add fixes the prepared form of the built-in
+    Euclidean: a later payload of another dimension raises "dimension
+    mismatch" from add() and changes nothing."""
+
+    D = distances.TUPLE_DIM
+
+    @staticmethod
+    def snapshot(engine):
+        hnsw = engine._hnsw
+        layers = [{x: dict(adj) for x, adj in layer.items()} for layer in hnsw._layers]
+        return (engine.n, engine.distance_calls, len(engine._buf), engine.pair_log(),
+                layers, dict(hnsw._recent), dict(hnsw._older),
+                hnsw._rng.bit_generator.state)
+
+    @pytest.mark.parametrize("dim, bad", [
+        (10, 12), (D, D + 1), (D + 1, D), (None, 2),
+    ], ids=["10-then-12", "128-then-129", "129-then-128", "scalar-then-2"])
+    def test_mismatch_raises_from_add_and_changes_nothing(self, dim, bad):
+        # dim None: every good payload is a scalar, a vector of one coordinate.
+        rng = np.random.default_rng(21)
+        good = list(rng.normal(size=120 if dim is None else (120, dim)))
+        engine = FISHDBC(distances.euclidean, minpts=4, rng_seed=21, record_pairs=True)
+        probe = FISHDBC(distances.euclidean, minpts=4, rng_seed=21, record_pairs=True)
+        for p in good[:100]:
+            engine.add(p)
+            probe.add(p)
+        before = self.snapshot(engine)
+        assert before[5] or before[6]  # the pair cache holds pairs
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            engine.add(rng.normal(size=bad))
+        assert self.snapshot(engine) == before
+        for p in good[100:]:
+            engine.add(p)
+            probe.add(p)
+        assert self.snapshot(engine) == self.snapshot(probe)
+        assert TestPreparedTap.state(engine) == TestPreparedTap.state(probe)
+
+    @pytest.mark.parametrize("first", [object(), np.zeros((2, 3))],
+                             ids=["unconvertible", "two-axes"])
+    def test_failed_first_add_fixes_no_form(self, first):
+        engine = FISHDBC(distances.euclidean, minpts=3)
+        with pytest.raises((TypeError, ValueError)):
+            engine.add(first)
+        assert engine.n == 0
+        rows = np.random.default_rng(5).random((10, 3))
+        for row in rows:
+            engine.add(row)
+        assert engine.n == 10 and engine._hnsw.distance is math.dist
 
 
 class TestJaroWinklerKernel:

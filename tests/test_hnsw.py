@@ -7,7 +7,7 @@ import pytest
 from helpers import noisy_strings
 from fishdbc import FISHDBC, hnsw
 from fishdbc.dataio import generate_blobs
-from fishdbc.distances import DistanceError, euclidean, jaro_winkler
+from fishdbc.distances import PREPARED, DistanceError, euclidean, jaro_winkler
 from fishdbc.hnsw import Hnsw, _Recorder
 
 
@@ -61,12 +61,18 @@ class TestInsert:
         assert raw == 1
         assert triples == [(0, 1, 5.0)]
 
-    # "batched" is the built-in function object, "scalar" a plain wrapper of it.
-    @pytest.mark.parametrize("distance", [euclidean, lambda a, b: euclidean(a, b)],
-                             ids=["batched", "scalar"])
-    def test_returns_triples_and_their_count(self, rng, distance):
+    # "batched" holds the items in the form the engine prepares them in and
+    # measures them with the kernel it picks for that form; "scalar" calls
+    # a plain wrapper of the built-in on the raw items.
+    @pytest.mark.parametrize("prepared", [True, False], ids=["batched", "scalar"])
+    def test_returns_triples_and_their_count(self, rng, prepared):
         # The engine counts distance calls, and a tracer unpacks the pair.
         items = [rng.random(4) for _ in range(200)]
+        if prepared:
+            prepare, distance = PREPARED[euclidean](items[0])
+            items = [prepare(p) for p in items]
+        else:
+            distance = lambda a, b: euclidean(a, b)
         idx = make_index(items, distance=distance)
         for i in range(200):
             result = idx.insert(i)
@@ -351,7 +357,7 @@ class TestPairCache:
             return math.nan if count[0] == calls else jaro_winkler(a, b)
 
         recent, older = dict(engine._hnsw._recent), dict(engine._hnsw._older)
-        engine._hnsw._distance = fails_last
+        engine._hnsw.distance = fails_last
         with pytest.raises(DistanceError):
             engine.add(strings[-1])
         assert recorders[-1].served  # pairs were collected, not committed
@@ -398,7 +404,7 @@ class TestAtomicity:
                 return float("nan")
             return euclidean(a, b)
 
-        idx._distance = failing
+        idx.distance = failing
         with pytest.raises(DistanceError):
             idx.insert(49)
         assert idx._entry == entry_before
@@ -435,14 +441,14 @@ class TestAtomicity:
         def fails_on_the_pair(p, q):
             return math.nan if {p[0], q[0]} == {a, b} else euclidean(p[1], q[1])
 
-        idx._distance = fails_on_the_pair
+        idx.distance = fails_on_the_pair
         with pytest.raises(DistanceError) as exc:
             idx.insert(x)
         assert str(exc.value) == f"distance({a}, {b}) returned nan"
         assert recorders[-1].served  # pairs were collected, not committed
         assert (snapshot(idx), idx._entry, idx._rng.bit_generator.state,
                 list(idx._recent.items()), list(idx._older.items())) == before
-        idx._distance = logging_distance
+        idx.distance = logging_distance
         assert idx.insert(x) == want
 
     def test_negative_distance_rejected(self):
@@ -471,7 +477,7 @@ class CopyingHnsw(Hnsw):
         self.removed = 0
 
     def insert(self, x):
-        rec = _Recorder(self._distance, self._items, self._recent, self._older)
+        rec = _Recorder(self.distance, self._items, self._recent, self._older)
         level = self.assign_level()
         staged = self._stage(x, level, rec)
         for lc, x_adj, backlinks, removals in staged:
